@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence, Union
 
 from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
-from .errors import BudgetExceededError
+from .errors import SizeLimitError
 from .resolution import resolve_full
 from .young import EntryCase, StandardTableau, classify, swap_entries, t0
 
@@ -267,15 +267,9 @@ def _first_descent(columns: tuple[tuple[int, int], ...]) -> int | None:
     return None
 
 
-_STRAIGHTEN_CACHE: dict[TwoRowTableau, tuple[tuple[TwoRowTableau, int], ...]] = {}
-
-
 def _straighten_key(
     key: TwoRowTableau, step_budget: int
 ) -> tuple[tuple[TwoRowTableau, int], ...]:
-    cached = _STRAIGHTEN_CACHE.get(key)
-    if cached is not None:
-        return cached
     pending: dict[TwoRowTableau, int] = {key: 1}
     done: dict[TwoRowTableau, int] = {}
     steps = 0
@@ -289,7 +283,7 @@ def _straighten_key(
             continue
         steps += 1
         if steps > step_budget:
-            raise BudgetExceededError(
+            raise SizeLimitError(
                 f"straightening exceeded {step_budget} rewrite steps"
             )
         cols = tab.columns
@@ -301,9 +295,7 @@ def _straighten_key(
         for child_cols, sign in ((keep_order, 1), (resorted, -1)):
             child = TwoRowTableau(child_cols)
             pending[child] = pending.get(child, 0) + sign * coeff
-    result = tuple(kv for kv in done.items() if kv[1] != 0)
-    _STRAIGHTEN_CACHE[key] = result
-    return result
+    return tuple(kv for kv in done.items() if kv[1] != 0)
 
 
 def garnir_straighten(

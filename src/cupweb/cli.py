@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from .diagrams import Matching, column_matching, render_ascii, render_tikz
-from .errors import BudgetExceededError, DominanceError
+from .errors import DominanceError
 from .resolution import (
     build_resolution_graph,
     check_witness,
@@ -119,13 +119,9 @@ def cmd_enumerate(args) -> int:
     ]
     if args.format == "json":
         _emit(args, json.dumps(records, indent=2) + "\n")
-    elif args.format == "ascii":
+    else:
         lines = [f"rank={r['rank']}  {r['word']}" for r in records]
         _emit(args, "\n".join(lines) + "\n")
-    else:
-        print(f"error: enumerate does not support format {args.format}",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -133,60 +129,40 @@ def cmd_graph(args) -> int:
     graph = build_tableau_graph(args.n, _effective_max_n(args))
     if args.format == "dot":
         _emit(args, tableau_graph_dot(graph))
-    elif args.format == "json":
-        _emit(args, json.dumps(tableau_graph_json(graph), indent=2) + "\n")
     else:
-        print(f"error: graph does not support format {args.format}",
-              file=sys.stderr)
-        return 2
+        _emit(args, json.dumps(tableau_graph_json(graph), indent=2) + "\n")
     return 0
 
 
-def _emit_matrix(args, entries, index, title) -> int:
+def _emit_matrix(args, matrix: TransitionMatrix, title: str) -> int:
     if args.format == "csv":
-        _emit(args, matrix_to_csv(entries, index, title))
-    elif args.format == "json":
-        payload = {
-            "n": args.n,
-            "order": "rank, then lexicographic top row",
-            "index": [t.to_json() for t in index],
-            "entries": [list(row) for row in entries],
-        }
-        _emit(args, json.dumps(payload, indent=2) + "\n")
+        _emit(args, matrix_to_csv(matrix.entries, matrix.index, title))
     else:
-        print(f"error: unsupported matrix format {args.format}", file=sys.stderr)
-        return 2
+        _emit(args, json.dumps(matrix.to_json(), indent=2) + "\n")
     return 0
 
 
 def cmd_matrix(args) -> int:
     matrix = transition_matrix(args.n, _effective_max_n(args))
-    return _emit_matrix(
-        args, matrix.entries, matrix.index, f"transition matrix, n={args.n}"
-    )
+    return _emit_matrix(args, matrix, f"transition matrix, n={args.n}")
 
 
 def cmd_inverse(args) -> int:
     matrix = transition_matrix(args.n, _effective_max_n(args))
-    inverse = inverse_matrix(matrix)
-    return _emit_matrix(
-        args, inverse, matrix.index, f"inverse transition matrix, n={args.n}"
-    )
+    inverse = TransitionMatrix(matrix.n, matrix.index, inverse_matrix(matrix))
+    return _emit_matrix(args, inverse, f"inverse transition matrix, n={args.n}")
 
 
 def cmd_resolve(args) -> int:
     m = Matching.from_json(_load_json_arg(args.matching))
     strategy = _parse_strategy(args.strategy)
     if args.format == "json":
-        sinks = resolve_full(m, strategy, args.node_budget)
+        # The sinks do not depend on the strategy, so it is only validated.
+        sinks = resolve_full(m, args.node_budget)
         _emit(args, json.dumps(sinks_to_json(m.n2, sinks), indent=2) + "\n")
-    elif args.format == "dot":
+    else:
         graph = build_resolution_graph(m, strategy, args.node_budget)
         _emit(args, resolution_graph_dot(graph))
-    else:
-        print(f"error: resolve does not support format {args.format}",
-              file=sys.stderr)
-        return 2
     return 0
 
 
@@ -353,10 +329,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BudgetExceededError as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

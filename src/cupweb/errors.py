@@ -2,11 +2,7 @@
 
 
 class SizeLimitError(ValueError):
-    """Requested computation exceeds the configured resource limit."""
-
-
-class BudgetExceededError(RuntimeError):
-    """A rewriting loop ran past its step/node budget without finishing."""
+    """A size limit or a node/step budget was exceeded."""
 
 
 class DominanceError(ValueError):

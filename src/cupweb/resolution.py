@@ -133,7 +133,11 @@ def build_resolution_graph(
     strategy: Strategy = "first",
     node_budget: int = DEFAULT_NODE_BUDGET,
 ) -> ResolutionGraph:
-    """Expand ``m`` by both moves on one strategy-chosen crossing per node."""
+    """Expand ``m`` by both moves on one strategy-chosen crossing per node.
+
+    Raises ``SizeLimitError`` when the tree has more than ``node_budget``
+    nodes, the count ``resolve_full`` uses too.
+    """
     nodes = [m]
     edges: list[tuple[int, Move, int]] = []
     queue = deque([0])
@@ -157,45 +161,49 @@ def build_resolution_graph(
     return ResolutionGraph(m, nodes, edges)
 
 
-_FIRST_CACHE: dict[tuple, tuple[tuple[tuple, int], ...]] = {}
+# Leftmost-crossing expansions by arc tuple: (sorted sink counts, number of
+# nodes in the resolution tree).  The choice of crossing depends only on the
+# matching, so one entry serves every occurrence of that matching.
+_FIRST_CACHE: dict[tuple, tuple[tuple[tuple[tuple, int], ...], int]] = {}
 
 
-def _resolve_first(m: Matching, budget: list[int]) -> tuple[tuple[tuple, int], ...]:
-    # Leaf counts for the deterministic leftmost-crossing strategy.  The
-    # choice depends only on the matching, so results can be shared across
-    # occurrences instead of walking the whole occurrence tree.
-    cached = _FIRST_CACHE.get(m.arcs)
-    if cached is not None:
-        return cached
-    found = crossings(m)
-    if not found:
-        result: tuple = ((m.arcs, 1),)
-    else:
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise SizeLimitError("resolution exceeded its node budget")
-        counts: dict[tuple, int] = {}
-        for kind in (MoveKind.VV, MoveKind.NESTED):
-            child = resolve_step(m, found[0], kind)
-            for arcs, mult in _resolve_first(child, budget):
-                counts[arcs] = counts.get(arcs, 0) + mult
-        result = tuple(sorted(counts.items()))
-    _FIRST_CACHE[m.arcs] = result
-    return result
+def _resolve_first(
+    m: Matching, node_budget: int
+) -> tuple[tuple[tuple[tuple, int], ...], int]:
+    # Cached and fresh subtrees are charged their full tree size, so the
+    # budget trips on the same inputs whatever the cache holds.
+    entry = _FIRST_CACHE.get(m.arcs)
+    if entry is None:
+        found = crossings(m)
+        if not found:
+            entry = (((m.arcs, 1),), 1)
+        else:
+            counts: dict[tuple, int] = {}
+            size = 1
+            for kind in (MoveKind.VV, MoveKind.NESTED):
+                child = resolve_step(m, found[0], kind)
+                sinks, child_size = _resolve_first(child, node_budget - size)
+                size += child_size
+                for arcs, mult in sinks:
+                    counts[arcs] = counts.get(arcs, 0) + mult
+            entry = (tuple(sorted(counts.items())), size)
+        _FIRST_CACHE[m.arcs] = entry
+    if entry[1] > node_budget:
+        raise SizeLimitError("resolution exceeded its node budget")
+    return entry
 
 
 def resolve_full(
-    m: Matching,
-    strategy: Strategy = "first",
-    node_budget: int = DEFAULT_NODE_BUDGET,
+    m: Matching, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[CupDiagram, int]:
-    """Expansion of ``m`` over cup diagrams: sink -> multiplicity."""
-    if strategy == "first":
-        return {
-            CupDiagram(arcs): mult
-            for arcs, mult in _resolve_first(m, [node_budget])
-        }
-    return build_resolution_graph(m, strategy, node_budget).sink_multiset()
+    """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
+
+    Raises ``SizeLimitError`` when the resolution tree has more than
+    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1.  The
+    tree size, like the sinks, is the same for every resolution strategy.
+    """
+    sinks, _ = _resolve_first(m, node_budget)
+    return {CupDiagram(arcs): mult for arcs, mult in sinks}
 
 
 def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
-from functools import lru_cache
 
 from .actions import cup_polytabloid
 from .diagrams import column_matching, cup_of_tableau
@@ -21,6 +20,7 @@ from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
     build_tableau_graph,
+    cached_on_n,
     enumerate_syt,
     first_row_dominates,
     leq,
@@ -104,10 +104,10 @@ def _stamp() -> str:
     return datetime.now(timezone.utc).isoformat()
 
 
-@lru_cache(maxsize=None)
-def transition_matrix(n: int, max_n: int = DEFAULT_MAX_N) -> TransitionMatrix:
+@cached_on_n
+def transition_matrix(n: int) -> TransitionMatrix:
     """Resolve every column matching and collect sink multiplicities."""
-    index = enumerate_syt(n, max_n)
+    index = enumerate_syt(n, max_n=n)
     row_of = {cup_of_tableau(t): k for k, t in enumerate(index)}
     size = len(index)
     entries = [[0] * size for _ in range(size)]

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .errors import SizeLimitError
 
@@ -88,54 +88,6 @@ class StandardTableau:
         return f"StandardTableau({self.row_word()!r})"
 
 
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n2}, stored as the image tuple of 1, 2, ..."""
-
-    images: tuple[int, ...]
-
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError("images must be a bijection on 1..n2")
-
-    @property
-    def n2(self) -> int:
-        return len(self.images)
-
-    def __call__(self, k: int) -> int:
-        return self.images[k - 1]
-
-    def __mul__(self, other: "Permutation") -> "Permutation":
-        # (p * q)(x) = p(q(x)); q acts first.
-        if self.n2 != other.n2:
-            raise ValueError("size mismatch")
-        return Permutation(tuple(self(other(k)) for k in range(1, self.n2 + 1)))
-
-    @classmethod
-    def identity(cls, n2: int) -> "Permutation":
-        return cls(tuple(range(1, n2 + 1)))
-
-    @classmethod
-    def transposition(cls, n2: int, i: int) -> "Permutation":
-        """The adjacent transposition swapping i and i+1."""
-        if not 1 <= i <= n2 - 1:
-            raise ValueError(f"generator index {i} out of range for n2={n2}")
-        images = list(range(1, n2 + 1))
-        images[i - 1], images[i] = images[i], images[i - 1]
-        return cls(tuple(images))
-
-    def is_identity(self) -> bool:
-        return all(self(k) == k for k in range(1, self.n2 + 1))
-
-
-def coxeter_length(w: Permutation) -> int:
-    """Length of w as a product of adjacent transpositions = inversion count."""
-    im = w.images
-    return sum(
-        1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j]
-    )
-
-
 def t0(n: int) -> StandardTableau:
     """The minimum tableau: 1..2n written down successive columns."""
     if n < 1:
@@ -143,17 +95,6 @@ def t0(n: int) -> StandardTableau:
     return StandardTableau(
         tuple(range(1, 2 * n, 2)), tuple(range(2, 2 * n + 1, 2))
     )
-
-
-def perm_between(a: StandardTableau, b: StandardTableau) -> Permutation:
-    """The permutation w with w.a = b, matching entries box by box."""
-    if a.n != b.n:
-        raise ValueError("tableaux must have the same n")
-    images = [0] * (2 * a.n)
-    for src_row, dst_row in ((a.top, b.top), (a.bottom, b.bottom)):
-        for s, d in zip(src_row, dst_row):
-            images[s - 1] = d
-    return Permutation(tuple(images))
 
 
 def _check_limit(n: int, max_n: int) -> None:
@@ -165,15 +106,41 @@ def _check_limit(n: int, max_n: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
-def enumerate_syt(n: int, max_n: int = DEFAULT_MAX_N) -> tuple[StandardTableau, ...]:
+def cached_on_n(build):
+    """Cache ``build(n)`` on n alone, behind a per-call check of ``n <= max_n``.
+
+    The decorated function takes ``(n, max_n=DEFAULT_MAX_N)``.  Calls that
+    differ only in ``max_n`` share one cache entry, and a call that lifted
+    the limit never lets a later call skip its check.  A cached body calls
+    another such function with ``max_n=n``: its own limit was checked.
+    """
+    cached = lru_cache(maxsize=None)(build)
+
+    @wraps(build)
+    def call(n: int, max_n: int = DEFAULT_MAX_N):
+        _check_limit(n, max_n)
+        return cached(n)
+
+    del call.__wrapped__  # the signature is call's, not build's
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+def _rank(tableau: StandardTableau) -> int:
+    # Every graph edge puts i in place of i+1 in the top row, lowering its
+    # sum by one, and the top row 1, 3, ..., 2n-1 of t0 sums to n**2.
+    return tableau.n**2 - sum(tableau.top)
+
+
+@cached_on_n
+def enumerate_syt(n: int) -> tuple[StandardTableau, ...]:
     """All standard tableaux of shape (n, n), in the canonical order.
 
-    The order sorts by rank (graph distance from ``t0``, computed as the
-    inversion count of the connecting permutation) and breaks ties by the
-    lexicographic top row.  The count is the n-th Catalan number.
+    The order sorts by rank (graph distance from ``t0``, which is n**2
+    minus the top-row sum) and breaks ties by the lexicographic top row.
+    The count is the n-th Catalan number.
     """
-    _check_limit(n, max_n)
     tableaux: list[StandardTableau] = []
 
     def grow(top: list[int], bottom: list[int], nxt: int) -> None:
@@ -190,8 +157,7 @@ def enumerate_syt(n: int, max_n: int = DEFAULT_MAX_N) -> tuple[StandardTableau, 
             bottom.pop()
 
     grow([], [], 1)
-    base = t0(n)
-    tableaux.sort(key=lambda s: (coxeter_length(perm_between(base, s)), s.top))
+    tableaux.sort(key=lambda s: (_rank(s), s.top))
     return tuple(tableaux)
 
 
@@ -239,14 +205,8 @@ class TableauGraph:
         self._successors: list[list[int]] = [[] for _ in vertices]
         for src, dst, _ in edges:
             self._successors[src].append(dst)
-        self._ranks = self._compute_ranks()
+        self._ranks = tuple(_rank(v) for v in vertices)
         self._descendants = self._compute_descendants()
-
-    def _compute_ranks(self) -> tuple[int, ...]:
-        base = t0(self.n)
-        return tuple(
-            coxeter_length(perm_between(base, v)) for v in self.vertices
-        )
 
     def _compute_descendants(self) -> list[int]:
         # Bitset per vertex; filled in decreasing rank order so every
@@ -273,10 +233,10 @@ class TableauGraph:
         return bool(self._descendants[self.position(src)] >> self.position(dst) & 1)
 
 
-@lru_cache(maxsize=None)
-def build_tableau_graph(n: int, max_n: int = DEFAULT_MAX_N) -> TableauGraph:
+@cached_on_n
+def build_tableau_graph(n: int) -> TableauGraph:
     """Construct the tableau graph on ``enumerate_syt(n)``."""
-    vertices = enumerate_syt(n, max_n)
+    vertices = enumerate_syt(n, max_n=n)
     position = {v: k for k, v in enumerate(vertices)}
     edges = []
     for src, tab in enumerate(vertices):

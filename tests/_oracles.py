@@ -3,9 +3,11 @@
 These stay independent of the package code paths they check: tableaux are
 generated by filtering raw permutations, crossings by scanning all arc
 pairs, and polytabloids are expanded over row tabloids directly from the
-signed-column-flip definition.
+signed-column-flip definition.  Ranks are checked against the inversion
+count of the permutation that carries ``t0`` to a tableau.
 """
 
+from dataclasses import dataclass
 from itertools import permutations
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -96,3 +98,62 @@ def random_matching_arcs(rng, n2):
     dots = list(range(1, n2 + 1))
     rng.shuffle(dots)
     return [(dots[2 * k], dots[2 * k + 1]) for k in range(n2 // 2)]
+
+
+@dataclass(frozen=True)
+class Permutation:
+    """A permutation of {1..n2}, stored as the image tuple of 1, 2, ..."""
+
+    images: tuple
+
+    def __post_init__(self):
+        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+            raise ValueError("images must be a bijection on 1..n2")
+
+    @property
+    def n2(self):
+        return len(self.images)
+
+    def __call__(self, k):
+        return self.images[k - 1]
+
+    def __mul__(self, other):
+        # (p * q)(x) = p(q(x)); q acts first.
+        if self.n2 != other.n2:
+            raise ValueError("size mismatch")
+        return Permutation(tuple(self(other(k)) for k in range(1, self.n2 + 1)))
+
+    @classmethod
+    def identity(cls, n2):
+        return cls(tuple(range(1, n2 + 1)))
+
+    @classmethod
+    def transposition(cls, n2, i):
+        """The adjacent transposition swapping i and i+1."""
+        if not 1 <= i <= n2 - 1:
+            raise ValueError(f"generator index {i} out of range for n2={n2}")
+        images = list(range(1, n2 + 1))
+        images[i - 1], images[i] = images[i], images[i - 1]
+        return cls(tuple(images))
+
+    def is_identity(self):
+        return all(self(k) == k for k in range(1, self.n2 + 1))
+
+
+def coxeter_length(w):
+    """Length of w as a product of adjacent transpositions = inversion count."""
+    im = w.images
+    return sum(
+        1 for i in range(len(im)) for j in range(i + 1, len(im)) if im[i] > im[j]
+    )
+
+
+def perm_between(a, b):
+    """The permutation w with w.a = b, matching entries box by box."""
+    if a.n != b.n:
+        raise ValueError("tableaux must have the same n")
+    images = [0] * (2 * a.n)
+    for src_row, dst_row in ((a.top, b.top), (a.bottom, b.bottom)):
+        for s, d in zip(src_row, dst_row):
+            images[s - 1] = d
+    return Permutation(tuple(images))

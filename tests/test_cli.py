@@ -96,6 +96,15 @@ class TestMatrixCommands:
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body == ["1,-1", "0,1"]
 
+    def test_json_is_the_matrix_export(self, capsys):
+        from cupweb import TransitionMatrix, inverse_matrix, transition_matrix
+
+        matrix = transition_matrix(3)
+        inverse = TransitionMatrix(3, matrix.index, inverse_matrix(matrix))
+        for command, expected in (("matrix", matrix), ("inverse", inverse)):
+            _, out, _ = run(capsys, command, "-n", "3", "--format", "json")
+            assert out == json.dumps(expected.to_json(), indent=2) + "\n"
+
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "matrix", "-n", "3", "--format", "json")
         _, second, _ = run(capsys, "matrix", "-n", "3", "--format", "json")
@@ -266,6 +275,17 @@ class TestOutputFiles:
         assert code == 0
         assert out == ""
         assert "1,1" in target.read_text()
+
+    def test_missing_input_file(self, tmp_path, capsys):
+        code, _, err = run(capsys, "resolve", f"@{tmp_path / 'missing.json'}")
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_unwritable_output(self, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, "matrix", "-n", "2", "-o", str(target))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CUPWEB_OUTPUT_DIR", str(tmp_path))

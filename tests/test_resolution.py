@@ -28,6 +28,7 @@ from cupweb import (
     tableau_of_cup,
     witness_path,
 )
+import cupweb.resolution as resolution_module
 from _oracles import random_matching_arcs
 
 S_FIVE = StandardTableau((1, 3, 4, 6, 9), (2, 5, 7, 8, 10))
@@ -133,8 +134,10 @@ class TestResolveFull:
             m = Matching(random_matching_arcs(rng, 2 * rng.randint(2, 5)))
             baseline = resolve_full(m)
             script = tuple(rng.randrange(8) for _ in range(6))
-            assert resolve_full(m, script) == baseline
-            assert resolve_full(m, lambda _m, cs: cs[-1]) == baseline
+            last = lambda _m, cs: cs[-1]  # noqa: E731
+            for strategy in (script, last):
+                tree = build_resolution_graph(m, strategy)
+                assert tree.sink_multiset() == baseline
 
     def test_sinks_match_tree(self):
         counts = resolve_full(THREE_COLUMN)
@@ -142,7 +145,26 @@ class TestResolveFull:
 
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
-            resolve_full(Matching([(1, 3), (2, 4)]), "fastest")
+            build_resolution_graph(Matching([(1, 3), (2, 4)]), "fastest")
+
+    def test_node_budget_counts_tree_nodes(self):
+        # 16 sinks with multiplicity, so every strategy's tree has 31 nodes;
+        # the outcome must not depend on what the memo already holds.
+        m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
+        memo = resolution_module._FIRST_CACHE
+        memo.clear()
+        with pytest.raises(SizeLimitError):
+            resolve_full(m, node_budget=30)  # cold
+        memo.clear()
+        assert sum(resolve_full(m, node_budget=31).values()) == 16  # cold
+        assert sum(resolve_full(m, node_budget=31).values()) == 16  # warm
+        with pytest.raises(SizeLimitError):
+            resolve_full(m, node_budget=30)  # warm
+        for strategy in ("first", (1, 0, 2)):
+            with pytest.raises(SizeLimitError):
+                build_resolution_graph(m, strategy, node_budget=30)
+            graph = build_resolution_graph(m, strategy, node_budget=31)
+            assert len(graph.nodes) == 31
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sink_support_stays_below(self, n):
@@ -249,4 +271,5 @@ class TestConfluence:
             baseline = resolve_full(m)
             for _ in range(4):
                 script = tuple(rng.randrange(10) for _ in range(5))
-                assert resolve_full(m, script) == baseline
+                tree = build_resolution_graph(m, script)
+                assert tree.sink_multiset() == baseline

@@ -2,22 +2,26 @@ import pytest
 
 from cupweb import (
     EntryCase,
-    Permutation,
     SizeLimitError,
     StandardTableau,
     build_tableau_graph,
     classify,
-    coxeter_length,
     enumerate_syt,
     first_row_dominates,
     leq,
     paths_between,
-    perm_between,
     rank,
     swap_entries,
     t0,
+    transition_matrix,
 )
-from _oracles import CATALAN, brute_force_syt
+from _oracles import (
+    CATALAN,
+    Permutation,
+    brute_force_syt,
+    coxeter_length,
+    perm_between,
+)
 
 T_FOUR = StandardTableau((1, 2, 4, 7), (3, 5, 6, 8))
 S_FIVE = StandardTableau((1, 3, 4, 6, 9), (2, 5, 7, 8, 10))
@@ -83,8 +87,17 @@ class TestEnumeration:
             enumerate_syt(0)
         with pytest.raises(SizeLimitError):
             enumerate_syt(9)
-        # raising the limit makes the call legal
+        # raising the limit makes the call legal, for that call only
         assert len(enumerate_syt(8, max_n=8)) == CATALAN[8]
+        assert len(enumerate_syt(9, max_n=9)) == 4862
+        with pytest.raises(SizeLimitError):
+            enumerate_syt(9)
+
+    @pytest.mark.parametrize(
+        "build", [enumerate_syt, build_tableau_graph, transition_matrix]
+    )
+    def test_cached_on_n_alone(self, build):
+        assert build(5) is build(5, 8) is build(5, max_n=8) is build(5, 6)
 
 
 class TestClassify:
