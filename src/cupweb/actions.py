@@ -62,9 +62,7 @@ class TwoRowTableau:
         return tuple(b for _, b in self.columns)
 
     def is_standard(self) -> bool:
-        return all(
-            self.bottom[j] < self.bottom[j + 1] for j in range(self.n - 1)
-        )
+        return _first_descent(self.columns) is None
 
     def to_standard(self) -> StandardTableau:
         return StandardTableau(self.top, self.bottom)
@@ -268,34 +266,33 @@ def _first_descent(columns: tuple[tuple[int, int], ...]) -> int | None:
 
 
 def _straighten_key(
-    key: TwoRowTableau, step_budget: int
+    columns: tuple[tuple[int, int], ...], step_budget: int
 ) -> tuple[tuple[TwoRowTableau, int], ...]:
-    pending: dict[TwoRowTableau, int] = {key: 1}
-    done: dict[TwoRowTableau, int] = {}
+    # Trusts ``columns`` to be in normal form, as both rewrite children are.
+    pending = {columns: 1}
+    done: dict[tuple[tuple[int, int], ...], int] = {}
     steps = 0
     while pending:
-        tab, coeff = pending.popitem()
+        cols, coeff = pending.popitem()
         if coeff == 0:
             continue
-        j = _first_descent(tab.columns)
+        j = _first_descent(cols)
         if j is None:
-            done[tab] = done.get(tab, 0) + coeff
+            done[cols] = done.get(cols, 0) + coeff
             continue
         steps += 1
         if steps > step_budget:
             raise SizeLimitError(
                 f"straightening exceeded {step_budget} rewrite steps"
             )
-        cols = tab.columns
         a, b = cols[j]
         c, x = cols[j + 1]
         # normal form guarantees a < c < x < b here
         keep_order = cols[:j] + ((a, x), (c, b)) + cols[j + 2:]
         resorted = tuple(sorted(cols[:j] + ((a, c), (x, b)) + cols[j + 2:]))
-        for child_cols, sign in ((keep_order, 1), (resorted, -1)):
-            child = TwoRowTableau(child_cols)
+        for child, sign in ((keep_order, 1), (resorted, -1)):
             pending[child] = pending.get(child, 0) + sign * coeff
-    return tuple(kv for kv in done.items() if kv[1] != 0)
+    return tuple((TwoRowTableau(cols), coeff) for cols, coeff in done.items() if coeff)
 
 
 def garnir_straighten(
@@ -306,7 +303,7 @@ def garnir_straighten(
     vec = TabloidVector.unit(x) if isinstance(x, TwoRowTableau) else x
     out: dict[TwoRowTableau, int] = {}
     for key, coeff in vec.terms.items():
-        for skey, scoeff in _straighten_key(key, step_budget):
+        for skey, scoeff in _straighten_key(key.columns, step_budget):
             out[skey] = out.get(skey, 0) + coeff * scoeff
     return TabloidVector(vec.n, out)
 
@@ -330,7 +327,7 @@ def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:
                 for col in key.columns
             ]
             tab, sign = canonicalize_columns(swapped)
-            for skey, scoeff in _straighten_key(tab, DEFAULT_STEP_BUDGET):
+            for skey, scoeff in _straighten_key(tab.columns, DEFAULT_STEP_BUDGET):
                 out[skey] = out.get(skey, 0) + sign * coeff * scoeff
     return TabloidVector(v.n, out)
 

@@ -14,9 +14,11 @@ import os
 import sys
 from pathlib import Path
 
+from .actions import DEFAULT_STEP_BUDGET
 from .diagrams import Matching, column_matching, render_ascii, render_tikz
 from .errors import DominanceError
 from .resolution import (
+    DEFAULT_NODE_BUDGET,
     build_resolution_graph,
     check_witness,
     resolution_graph_dot,
@@ -294,7 +296,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matching", help='matching JSON, @file, or "-" for stdin')
     p.add_argument("--strategy", default="first",
                    help="'first' or 'scripted:i,j,...' (default first)")
-    p.add_argument("--node-budget", type=_positive, default=10**6)
+    p.add_argument("--node-budget", type=_positive, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=cmd_resolve)
 
@@ -311,7 +313,7 @@ def _build_parser() -> argparse.ArgumentParser:
                             "conjecture", "all"])
     p.add_argument("--self-test", action="store_true",
                    help="corrupt one entry first; the run must then fail")
-    p.add_argument("--step-budget", type=_positive, default=10**6)
+    p.add_argument("--step-budget", type=_positive, default=DEFAULT_STEP_BUDGET)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a matching or the tableau graph")

@@ -8,7 +8,7 @@ a cup diagram is a matching with no crossings.  Dots are numbered from 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .young import StandardTableau
 
@@ -43,9 +43,6 @@ class Matching:
 
     def left_endpoints(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.arcs)
-
-    def has_arc(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in set(self.arcs)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Matching) and self.arcs == other.arcs
@@ -92,26 +89,27 @@ class Crossing:
         if not a < b < c < d:
             raise ValueError(f"arcs {self.left}, {self.right} do not cross")
 
-    def dots(self) -> tuple[int, int, int, int]:
-        return (self.left[0], self.right[0], self.left[1], self.right[1])
+
+def crossing_pairs(arcs: tuple) -> Iterator[tuple]:
+    """Crossing arc pairs, by (left arc, right arc), of trusted canonical arcs.
+
+    Canonical means sorted with the smaller dot first, as ``Matching.arcs`` is.
+    """
+    for i, (a, c) in enumerate(arcs):
+        for b, d in arcs[i + 1:]:
+            if b > c:  # this arc and every later one start right of (a, c)
+                break
+            if c < d:
+                yield (a, c), (b, d)
 
 
 def crossings(m: Matching) -> list[Crossing]:
     """All crossing arc pairs, sorted by (left arc, right arc)."""
-    found = []
-    for i, (a, c) in enumerate(m.arcs):
-        for b, d in m.arcs[i + 1:]:
-            if a < b < c < d:
-                found.append(Crossing((a, c), (b, d)))
-    return found
+    return [Crossing(left, right) for left, right in crossing_pairs(m.arcs)]
 
 
 def is_noncrossing(m: Matching) -> bool:
-    for i, (a, c) in enumerate(m.arcs):
-        for b, d in m.arcs[i + 1:]:
-            if a < b < c < d:
-                return False
-    return True
+    return next(crossing_pairs(m.arcs), None) is None
 
 
 def cup_of_tableau(tableau: StandardTableau) -> CupDiagram:

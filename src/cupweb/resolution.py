@@ -33,6 +33,7 @@ from .diagrams import (
     Crossing,
     Matching,
     column_matching,
+    crossing_pairs,
     crossings,
     cup_of_tableau,
 )
@@ -74,18 +75,19 @@ class Move:
 Strategy = Union[str, Sequence[int], Callable[[Matching, list[Crossing]], Crossing]]
 
 
+def _smooth(arcs: tuple, left: tuple, right: tuple, kind: MoveKind) -> tuple:
+    # Trusted: left = (a, c) and right = (b, d) cross, a < b < c < d, in arcs.
+    (a, c), (b, d) = left, right
+    rest = [arc for arc in arcs if arc != left and arc != right]
+    rest += [(a, b), (c, d)] if kind is MoveKind.VV else [(a, d), (b, c)]
+    return tuple(sorted(rest))
+
+
 def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     """Replace the two arcs of ``crossing`` by the chosen smoothing."""
-    arcset = set(m.arcs)
-    if crossing.left not in arcset or crossing.right not in arcset:
+    if not {crossing.left, crossing.right} <= set(m.arcs):
         raise ValueError(f"{crossing} is not a crossing of {m!r}")
-    a, b, c, d = crossing.dots()
-    rest = [arc for arc in m.arcs if arc != crossing.left and arc != crossing.right]
-    if kind is MoveKind.VV:
-        rest += [(a, b), (c, d)]
-    else:
-        rest += [(a, d), (b, c)]
-    return Matching(rest)
+    return Matching(_smooth(m.arcs, crossing.left, crossing.right, kind))
 
 
 def _pick(strategy: Strategy, m: Matching, found: list[Crossing],
@@ -167,27 +169,29 @@ def build_resolution_graph(
 _FIRST_CACHE: dict[tuple, tuple[tuple[tuple[tuple, int], ...], int]] = {}
 
 
-def _resolve_first(
-    m: Matching, node_budget: int
-) -> tuple[tuple[tuple[tuple, int], ...], int]:
+def resolve_arcs(arcs: tuple, node_budget: int) -> tuple[tuple, int]:
+    """Sorted (sink arcs, multiplicity) pairs and the tree size of ``arcs``.
+
+    The kernel of ``resolve_full``; trusts ``arcs`` to be canonical.
+    """
     # Cached and fresh subtrees are charged their full tree size, so the
     # budget trips on the same inputs whatever the cache holds.
-    entry = _FIRST_CACHE.get(m.arcs)
+    entry = _FIRST_CACHE.get(arcs)
     if entry is None:
-        found = crossings(m)
-        if not found:
-            entry = (((m.arcs, 1),), 1)
+        first = next(crossing_pairs(arcs), None)
+        if first is None:
+            entry = (((arcs, 1),), 1)
         else:
             counts: dict[tuple, int] = {}
             size = 1
             for kind in (MoveKind.VV, MoveKind.NESTED):
-                child = resolve_step(m, found[0], kind)
-                sinks, child_size = _resolve_first(child, node_budget - size)
+                child = _smooth(arcs, *first, kind)
+                sinks, child_size = resolve_arcs(child, node_budget - size)
                 size += child_size
-                for arcs, mult in sinks:
-                    counts[arcs] = counts.get(arcs, 0) + mult
+                for sink, mult in sinks:
+                    counts[sink] = counts.get(sink, 0) + mult
             entry = (tuple(sorted(counts.items())), size)
-        _FIRST_CACHE[m.arcs] = entry
+        _FIRST_CACHE[arcs] = entry
     if entry[1] > node_budget:
         raise SizeLimitError("resolution exceeded its node budget")
     return entry
@@ -202,7 +206,7 @@ def resolve_full(
     ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1.  The
     tree size, like the sinks, is the same for every resolution strategy.
     """
-    sinks, _ = _resolve_first(m, node_budget)
+    sinks, _ = resolve_arcs(m.arcs, node_budget)
     return {CupDiagram(arcs): mult for arcs, mult in sinks}
 
 

@@ -13,9 +13,9 @@ import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-from .actions import cup_polytabloid
-from .diagrams import column_matching, cup_of_tableau
-from .resolution import resolve_full
+from .actions import DEFAULT_STEP_BUDGET, cup_polytabloid
+from .diagrams import cup_of_tableau
+from .resolution import DEFAULT_NODE_BUDGET, resolve_arcs
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
@@ -108,19 +108,20 @@ def _stamp() -> str:
 def transition_matrix(n: int) -> TransitionMatrix:
     """Resolve every column matching and collect sink multiplicities."""
     index = enumerate_syt(n, max_n=n)
-    row_of = {cup_of_tableau(t): k for k, t in enumerate(index)}
+    row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     size = len(index)
     entries = [[0] * size for _ in range(size)]
     for col, tab in enumerate(index):
-        for sink, mult in resolve_full(column_matching(tab.columns())).items():
-            entries[row_of[sink]][col] = mult
+        sinks, _ = resolve_arcs(tab.columns(), DEFAULT_NODE_BUDGET)
+        for arcs, mult in sinks:
+            entries[row_of[arcs]][col] = mult
     return TransitionMatrix(n, index, tuple(tuple(row) for row in entries))
 
 
 def verify_unitriangular(matrix: TransitionMatrix) -> VerificationReport:
     """Diagonal all ones, and nonzero entries only on comparable pairs."""
     with _Timer() as timer:
-        graph = build_tableau_graph(matrix.n)
+        graph = build_tableau_graph(matrix.n, max_n=matrix.n)
         checks = []
         bad = next(
             (t for t in range(matrix.size) if matrix.entry(t, t) != 1), None
@@ -153,7 +154,7 @@ def verify_unitriangular(matrix: TransitionMatrix) -> VerificationReport:
 def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     """entry[S][T] > 0 exactly when S is below T in the partial order."""
     with _Timer() as timer:
-        graph = build_tableau_graph(matrix.n)
+        graph = build_tableau_graph(matrix.n, max_n=matrix.n)
         witness = None
         for s in range(matrix.size):
             for t in range(matrix.size):
@@ -190,7 +191,7 @@ def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
 
 
 def verify_psi(
-    matrix: TransitionMatrix, step_budget: int = 10**6
+    matrix: TransitionMatrix, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> VerificationReport:
     """Straightening each cup diagram reproduces the inverse matrix column."""
     with _Timer() as timer:
@@ -200,15 +201,13 @@ def verify_psi(
         except ValueError as exc:
             witness = f"matrix not invertible over the order: {exc}"
         if witness is None:
-            position = {t: k for k, t in enumerate(matrix.index)}
+            position = {t.columns(): k for k, t in enumerate(matrix.index)}
             for col, tab in enumerate(matrix.index):
                 _, vec = cup_polytabloid(cup_of_tableau(tab), step_budget)
                 computed = [0] * matrix.size
                 for key, coeff in vec.terms.items():
-                    computed[position[key.to_standard()]] = coeff
-                if tuple(computed) != tuple(
-                    inverse[r][col] for r in range(matrix.size)
-                ):
+                    computed[position[key.columns]] = coeff
+                if computed != [row[col] for row in inverse]:
                     witness = f"web of {tab.row_word()}"
                     break
         checks = [Check("straightening-matches-inverse", witness is None, witness)]

@@ -2,8 +2,8 @@
 
 These stay independent of the package code paths they check: tableaux are
 generated by filtering raw permutations, crossings by scanning all arc
-pairs, and polytabloids are expanded over row tabloids directly from the
-signed-column-flip definition.  Ranks are checked against the inversion
+pairs, resolutions by a memo-free recursion, and polytabloids are expanded
+over row tabloids directly from the signed-column-flip definition.  Ranks are checked against the inversion
 count of the permutation that carries ``t0`` to a tableau.
 """
 
@@ -36,6 +36,26 @@ def brute_crossing_pairs(arcs):
                 if a < b < c < d or b < a < d < c:
                     found.add((min(p, q), max(p, q)))
     return found
+
+
+def brute_resolve(arcs):
+    """Sink multiset of a matching: sorted arc tuple -> multiplicity.
+
+    Always resolves the rightmost crossing pair, the last one in (left arc,
+    right arc) order, and keeps no memo; the package resolves the leftmost
+    one through a memo, and the sinks must not depend on the choice.
+    """
+    arcs = tuple(sorted(tuple(sorted(arc)) for arc in arcs))
+    found = brute_crossing_pairs(arcs)
+    if not found:
+        return {arcs: 1}
+    (a, c), (b, d) = max(found)
+    rest = [arc for arc in arcs if arc != (a, c) and arc != (b, d)]
+    out = {}
+    for smoothing in (((a, b), (c, d)), ((a, d), (b, c))):
+        for sink, mult in brute_resolve(rest + list(smoothing)).items():
+            out[sink] = out.get(sink, 0) + mult
+    return out
 
 
 def polytabloid_model(columns):

@@ -289,7 +289,7 @@ class TestCupPolytabloid:
         with pytest.raises(ValueError):
             cup_polytabloid(Matching([(1, 3), (2, 4)]))
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_model_agrees_with_arcs(self, n):
         # straightening must preserve the underlying module element
         for tab in enumerate_syt(n):

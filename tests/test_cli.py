@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import cupweb
 from cupweb.cli import main
 
 WITNESS_T = '{"top": [1, 2, 4, 5, 7], "bottom": [3, 6, 8, 9, 10]}'
@@ -295,9 +298,12 @@ class TestOutputFiles:
 
 
 def test_module_entry_point():
+    # The subprocess imports the same checkout as this test run.
+    src = str(Path(cupweb.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "cupweb", "enumerate", "-n", "1"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [

@@ -26,6 +26,7 @@ from cupweb import (
     resolve_step,
     t0,
     tableau_of_cup,
+    transition_matrix,
     witness_path,
 )
 import cupweb.resolution as resolution_module
@@ -165,6 +166,28 @@ class TestResolveFull:
                 build_resolution_graph(m, strategy, node_budget=30)
             graph = build_resolution_graph(m, strategy, node_budget=31)
             assert len(graph.nodes) == 31
+
+        def warm_through_matrix(n):
+            memo.clear()
+            transition_matrix.cache_clear()
+            transition_matrix(n)  # fills the memo through resolve_arcs
+
+        rng = random.Random(17)
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            m = Matching(random_matching_arcs(rng, 2 * n))
+            memo.clear()
+            sinks = resolve_full(m)
+            size = len(build_resolution_graph(m).nodes)
+            assert size == 2 * sum(sinks.values()) - 1
+            # a cold memo, one warm with m itself, one warmed by the matrix
+            warmups = (memo.clear, lambda: None, lambda: warm_through_matrix(n))
+            for prepare in warmups:
+                prepare()
+                with pytest.raises(SizeLimitError):
+                    resolve_full(m, node_budget=size - 1)
+                prepare()
+                assert resolve_full(m, node_budget=size) == sinks
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_sink_support_stays_below(self, n):

@@ -32,6 +32,7 @@ from cupweb import (
     witness_path,
 )
 from cupweb.transition import matrix_to_csv
+from _oracles import brute_resolve
 
 
 def _corrupt(matrix: TransitionMatrix, s: int, t: int, value: int) -> TransitionMatrix:
@@ -74,6 +75,16 @@ class TestMatrix:
                     cup_of_tableau(source), 0
                 )
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_columns_match_brute_force_resolution(self, n):
+        matrix = transition_matrix(n)
+        row_of = {t.top: k for k, t in enumerate(matrix.index)}
+        for col, tab in enumerate(matrix.index):
+            expected = [0] * matrix.size
+            for sink, mult in brute_resolve(tab.columns()).items():
+                expected[row_of[tuple(a for a, _ in sink)]] = mult
+            assert [matrix.entry(row, col) for row in range(matrix.size)] == expected
+
 
 class TestUnitriangular:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -112,6 +123,14 @@ class TestPositivity:
     def test_entries_nonnegative(self, n):
         matrix = transition_matrix(n)
         assert all(e >= 0 for row in matrix.entries for e in row)
+
+
+def test_verifiers_read_the_matrix_size_as_its_limit():
+    # A matrix built past DEFAULT_MAX_N (with --force or max_n) had its
+    # limit checked when it was built, so the verifiers must not refuse it.
+    matrix = TransitionMatrix(9, (), ())
+    assert verify_unitriangular(matrix).passed
+    assert verify_positivity(matrix).passed
 
 
 class TestInverse:
