@@ -16,8 +16,10 @@ change in a rewrite; all others are carried along untouched.
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from heapq import heappop, heappush
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
@@ -265,20 +267,36 @@ def _first_descent(columns: tuple[tuple[int, int], ...]) -> int | None:
     return None
 
 
+def _garnir_key(columns: tuple[tuple[int, int], ...]) -> tuple[int, int]:
+    """Top-row sum, then minus the bottom-row inversions."""
+    inversions = 0
+    seen: list[int] = []  # sorted bottom entries right of the current column
+    for _, b in reversed(columns):
+        inversions += bisect_left(seen, b)
+        insort(seen, b)
+    return sum(a for a, _ in columns), -inversions
+
+
 def _straighten_key(
     columns: tuple[tuple[int, int], ...], step_budget: int
-) -> tuple[tuple[TwoRowTableau, int], ...]:
+) -> Iterator[tuple[TwoRowTableau, int]]:
     # Trusts ``columns`` to be in normal form, as both rewrite children are.
-    pending = {columns: 1}
-    done: dict[tuple[tuple[int, int], ...], int] = {}
+    # Fillings are popped in Garnir order, ``_garnir_key`` ascending.  Both
+    # children of a rewrite come strictly later (the keep-order child has
+    # one inversion less, the re-sorted one a larger top-row sum), so each
+    # filling is popped after all its parents, with its final coefficient,
+    # and expanded once; ``step_budget`` bounds these expansions.
+    coeffs = {columns: 1}
+    heap = [(*_garnir_key(columns), columns)]
     steps = 0
-    while pending:
-        cols, coeff = pending.popitem()
+    while heap:
+        top_sum, neg_inversions, cols = heappop(heap)
+        coeff = coeffs.pop(cols)
         if coeff == 0:
             continue
         j = _first_descent(cols)
         if j is None:
-            done[cols] = done.get(cols, 0) + coeff
+            yield TwoRowTableau(cols), coeff
             continue
         steps += 1
         if steps > step_budget:
@@ -290,9 +308,15 @@ def _straighten_key(
         # normal form guarantees a < c < x < b here
         keep_order = cols[:j] + ((a, x), (c, b)) + cols[j + 2:]
         resorted = tuple(sorted(cols[:j] + ((a, c), (x, b)) + cols[j + 2:]))
-        for child, sign in ((keep_order, 1), (resorted, -1)):
-            pending[child] = pending.get(child, 0) + sign * coeff
-    return tuple((TwoRowTableau(cols), coeff) for cols, coeff in done.items() if coeff)
+        for child, delta in ((keep_order, coeff), (resorted, -coeff)):
+            if child in coeffs:
+                coeffs[child] += delta
+                continue
+            coeffs[child] = delta
+            if child is keep_order:
+                heappush(heap, (top_sum, neg_inversions + 1, child))
+            else:
+                heappush(heap, (*_garnir_key(child), child))
 
 
 def garnir_straighten(

@@ -16,7 +16,6 @@ from pathlib import Path
 
 from .actions import DEFAULT_STEP_BUDGET
 from .diagrams import Matching, column_matching, render_ascii, render_tikz
-from .errors import DominanceError
 from .resolution import (
     DEFAULT_NODE_BUDGET,
     build_resolution_graph,
@@ -171,11 +170,7 @@ def cmd_resolve(args) -> int:
 def cmd_witness(args) -> int:
     t = StandardTableau.from_json(_load_json_arg(args.tableau_t))
     s = StandardTableau.from_json(_load_json_arg(args.tableau_s))
-    try:
-        script = witness_path(t, s)
-    except DominanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    script = witness_path(t, s)  # a DominanceError exits 2 through main
     cur = column_matching(t.columns())
     intermediates = [cur.to_json()]
     for move in script:
@@ -203,27 +198,19 @@ def _corrupted(matrix: TransitionMatrix) -> TransitionMatrix:
 
 def cmd_verify(args) -> int:
     if args.self_test and args.which == "conjecture":
-        print("error: --self-test corrupts the matrix, which the conjecture "
-              "check does not read", file=sys.stderr)
-        return 2
+        raise ValueError("--self-test corrupts the matrix, which the conjecture "
+                         "check does not read")
     matrix = transition_matrix(args.n, _effective_max_n(args))
     if args.self_test:
         matrix = _corrupted(matrix)
-    which = (
-        ["unitriangular", "positivity", "psi", "conjecture"]
-        if args.which == "all"
-        else [args.which]
-    )
-    reports = []
-    for name in which:
-        if name == "unitriangular":
-            reports.append(verify_unitriangular(matrix))
-        elif name == "positivity":
-            reports.append(verify_positivity(matrix))
-        elif name == "psi":
-            reports.append(verify_psi(matrix, step_budget=args.step_budget))
-        elif name == "conjecture":
-            reports.append(order_conjecture_report(args.n, _effective_max_n(args)))
+    suites = {
+        "unitriangular": lambda: verify_unitriangular(matrix),
+        "positivity": lambda: verify_positivity(matrix),
+        "psi": lambda: verify_psi(matrix, step_budget=args.step_budget),
+        "conjecture": lambda: order_conjecture_report(args.n, _effective_max_n(args)),
+    }
+    which = list(suites) if args.which == "all" else [args.which]
+    reports = [suites[name]() for name in which]
     _emit(args, json.dumps([r.to_json() for r in reports], indent=2) + "\n")
     return 0 if all(r.passed for r in reports) else 1
 
@@ -232,25 +219,19 @@ def cmd_render(args) -> int:
     obj = _load_json_arg(args.object)
     if isinstance(obj, dict) and "arcs" in obj:
         m = Matching.from_json(obj)
-        if args.format == "ascii":
-            _emit(args, render_ascii(m))
-        elif args.format == "tikz":
-            _emit(args, render_tikz(m))
-        else:
-            print("error: matchings render as ascii or tikz", file=sys.stderr)
-            return 2
+        if args.format == "dot":
+            raise ValueError("matchings render as ascii or tikz")
+        _emit(args, (render_ascii if args.format == "ascii" else render_tikz)(m))
         return 0
     if isinstance(obj, dict) and "tableau_graph" in obj:
         if args.format != "dot":
-            print("error: tableau graphs render as dot", file=sys.stderr)
-            return 2
+            raise ValueError("tableau graphs render as dot")
         n = int(obj["tableau_graph"])
         if n < 1:
             raise ValueError("tableau_graph size must be positive")
         _emit(args, tableau_graph_dot(build_tableau_graph(n)))
         return 0
-    print('error: object must contain "arcs" or "tableau_graph"', file=sys.stderr)
-    return 2
+    raise ValueError('object must contain "arcs" or "tableau_graph"')
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -331,7 +312,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, TypeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,8 +10,10 @@ of S appears as a sink when that matching is resolved.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import reduce
+from operator import and_
 
 from .actions import DEFAULT_STEP_BUDGET, cup_polytabloid
 from .diagrams import cup_of_tableau
@@ -22,8 +24,6 @@ from .young import (
     build_tableau_graph,
     cached_on_n,
     enumerate_syt,
-    first_row_dominates,
-    leq,
 )
 
 ORDER_DESCRIPTION = "rank, then lexicographic top row"
@@ -77,31 +77,16 @@ class VerificationReport:
         return {
             "n": self.n,
             "passed": self.passed,
-            "checks": [
-                {
-                    "name": c.name,
-                    "passed": c.passed,
-                    "witness": c.witness,
-                    "informational": c.informational,
-                }
-                for c in self.checks
-            ],
+            "checks": [asdict(c) for c in self.checks],
             "elapsed_seconds": self.elapsed_seconds,
             "timestamp": self.timestamp,
         }
 
 
-class _Timer:
-    def __enter__(self):
-        self.start = time.perf_counter()
-        return self
-
-    def __exit__(self, *exc):
-        self.elapsed = time.perf_counter() - self.start
-
-
-def _stamp() -> str:
-    return datetime.now(timezone.utc).isoformat()
+def _report(n: int, checks: list[Check], start: float) -> VerificationReport:
+    elapsed = time.perf_counter() - start
+    stamp = datetime.now(timezone.utc).isoformat()
+    return VerificationReport(n, checks, elapsed, stamp)
 
 
 @cached_on_n
@@ -118,69 +103,96 @@ def transition_matrix(n: int) -> TransitionMatrix:
     return TransitionMatrix(n, index, tuple(tuple(row) for row in entries))
 
 
+def _first_violation(masks) -> tuple[int, int] | None:
+    """``(k, j)`` for the lowest set bit j of the first nonzero ``masks[k]``.
+
+    With one mask of violations per row, such as a row's support or sign
+    mask against its up-set, this is the first violating pair in row-major
+    order.
+    """
+    for k, mask in enumerate(masks):
+        if mask:
+            return k, (mask & -mask).bit_length() - 1
+    return None
+
+
+def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
+    return [sum(1 << t for t, e in enumerate(r) if keep(e)) for r in matrix.entries]
+
+
+def _up_sets(matrix: TransitionMatrix) -> tuple[int, ...]:
+    """Bit t of the s-th mask is set when index[s] <= index[t] in the order."""
+    graph = build_tableau_graph(matrix.n, max_n=matrix.n)
+    at = [graph.position(t) for t in matrix.index]
+    up = graph.descendants
+    if at != list(range(len(up))):  # a hand-built index: renumber the bits
+        up = tuple(sum((up[p] >> q & 1) << t for t, q in enumerate(at)) for p in at)
+    return up
+
+
+def _pair_words(index: tuple[StandardTableau, ...], pair) -> str | None:
+    return pair and f"S={index[pair[0]].row_word()}, T={index[pair[1]].row_word()}"
+
+
 def verify_unitriangular(matrix: TransitionMatrix) -> VerificationReport:
     """Diagonal all ones, and nonzero entries only on comparable pairs."""
-    with _Timer() as timer:
-        graph = build_tableau_graph(matrix.n, max_n=matrix.n)
-        checks = []
-        bad = next(
-            (t for t in range(matrix.size) if matrix.entry(t, t) != 1), None
-        )
-        checks.append(
-            Check(
-                "diagonal-ones",
-                bad is None,
-                None if bad is None else matrix.index[bad].row_word(),
-            )
-        )
-        witness = None
-        for s in range(matrix.size):
-            for t in range(matrix.size):
-                if matrix.entry(s, t) != 0 and not leq(
-                    matrix.index[s], matrix.index[t], graph
-                ):
-                    witness = (
-                        f"S={matrix.index[s].row_word()}, "
-                        f"T={matrix.index[t].row_word()}, "
-                        f"entry={matrix.entry(s, t)}"
-                    )
-                    break
-            if witness:
-                break
-        checks.append(Check("support-within-order", witness is None, witness))
-    return VerificationReport(matrix.n, checks, timer.elapsed, _stamp())
+    start = time.perf_counter()
+    bad = next((t for t in range(matrix.size) if matrix.entry(t, t) != 1), None)
+    diagonal = None if bad is None else matrix.index[bad].row_word()
+    up = _up_sets(matrix)
+    pair = _first_violation(
+        support & ~u for support, u in zip(_row_masks(matrix, bool), up)
+    )
+    entry = pair and matrix.entry(*pair)
+    witness = pair and f"{_pair_words(matrix.index, pair)}, entry={entry}"
+    checks = [
+        Check("diagonal-ones", bad is None, diagonal),
+        Check("support-within-order", witness is None, witness),
+    ]
+    return _report(matrix.n, checks, start)
 
 
 def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     """entry[S][T] > 0 exactly when S is below T in the partial order."""
-    with _Timer() as timer:
-        graph = build_tableau_graph(matrix.n, max_n=matrix.n)
-        witness = None
-        for s in range(matrix.size):
-            for t in range(matrix.size):
-                positive = matrix.entry(s, t) > 0
-                comparable = leq(matrix.index[s], matrix.index[t], graph)
-                if positive != comparable:
-                    witness = (
-                        f"S={matrix.index[s].row_word()}, "
-                        f"T={matrix.index[t].row_word()}, "
-                        f"entry={matrix.entry(s, t)}, comparable={comparable}"
-                    )
-                    break
-            if witness:
-                break
-        checks = [Check("positive-iff-comparable", witness is None, witness)]
-    return VerificationReport(matrix.n, checks, timer.elapsed, _stamp())
+    start = time.perf_counter()
+    up = _up_sets(matrix)
+    pair = _first_violation(
+        positive ^ u for positive, u in zip(_row_masks(matrix, lambda e: e > 0), up)
+    )
+    witness = pair and (
+        f"{_pair_words(matrix.index, pair)}, entry={matrix.entry(*pair)}, "
+        f"comparable={bool(up[pair[0]] >> pair[1] & 1)}"
+    )
+    checks = [Check("positive-iff-comparable", witness is None, witness)]
+    return _report(matrix.n, checks, start)
+
+
+def _sparse_columns(matrix: TransitionMatrix) -> list[list[tuple[int, int]]]:
+    """Column t as the ``(s, entry[s][t])`` pairs with a nonzero entry."""
+    return [[(s, e) for s, e in enumerate(col) if e] for col in zip(*matrix.entries)]
+
+
+def _unitriangular_fault(matrix: TransitionMatrix, columns) -> str | None:
+    """Why M is not unitriangular, judged at its first failing column: a
+    diagonal entry other than 1, else a nonzero entry below the diagonal."""
+    bad = _first_violation(
+        (matrix.entry(t, t) != 1) << t | sum(1 << s for s, _ in col if s > t)
+        for t, col in enumerate(columns)
+    )
+    if bad is None:
+        return None
+    t, s = bad
+    if s == t:
+        return "matrix diagonal must be all ones"
+    return "matrix must be upper-triangular"
 
 
 def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
     """Exact inverse of a unitriangular matrix by back-substitution."""
+    fault = _unitriangular_fault(matrix, _sparse_columns(matrix))
+    if fault:
+        raise ValueError(fault)
     size = matrix.size
-    for t in range(size):
-        if matrix.entry(t, t) != 1:
-            raise ValueError("matrix diagonal must be all ones")
-        if any(matrix.entry(s, t) != 0 for s in range(t + 1, size)):
-            raise ValueError("matrix must be upper-triangular")
     inverse = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
     for j in range(size):
         for i in range(j - 1, -1, -1):
@@ -193,25 +205,38 @@ def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
 def verify_psi(
     matrix: TransitionMatrix, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> VerificationReport:
-    """Straightening each cup diagram reproduces the inverse matrix column."""
-    with _Timer() as timer:
-        witness = None
-        try:
-            inverse = inverse_matrix(matrix)
-        except ValueError as exc:
-            witness = f"matrix not invertible over the order: {exc}"
-        if witness is None:
-            position = {t.columns(): k for k, t in enumerate(matrix.index)}
-            for col, tab in enumerate(matrix.index):
-                _, vec = cup_polytabloid(cup_of_tableau(tab), step_budget)
-                computed = [0] * matrix.size
-                for key, coeff in vec.terms.items():
-                    computed[position[key.columns]] = coeff
-                if computed != [row[col] for row in inverse]:
-                    witness = f"web of {tab.row_word()}"
-                    break
-        checks = [Check("straightening-matches-inverse", witness is None, witness)]
-    return VerificationReport(matrix.n, checks, timer.elapsed, _stamp())
+    """Straightening each cup diagram gives the matching column of M^-1.
+
+    For a unitriangular M that is M·psi_c = e_c for every straightened
+    column psi_c, checked on the sparse columns of M.
+    """
+    start = time.perf_counter()
+    columns = _sparse_columns(matrix)
+    fault = _unitriangular_fault(matrix, columns)
+    witness = fault and f"matrix not invertible over the order: {fault}"
+    position = {t.columns(): k for k, t in enumerate(matrix.index)}
+    for c, tab in enumerate(matrix.index if witness is None else ()):
+        _, vec = cup_polytabloid(cup_of_tableau(tab), step_budget)
+        product: dict[int, int] = {}
+        for key, coeff in vec.terms.items():
+            for s, e in columns[position[key.columns]]:
+                product[s] = product.get(s, 0) + e * coeff
+        if {s: v for s, v in product.items() if v} != {c: 1}:
+            witness = f"web of {tab.row_word()}"
+            break
+    checks = [Check("straightening-matches-inverse", witness is None, witness)]
+    return _report(matrix.n, checks, start)
+
+
+def _dominance_masks(vertices: tuple[StandardTableau, ...]) -> list[int]:
+    """Bit t of the s-th mask is set when ``s.top[j] >= t.top[j]`` for all j."""
+    at_most: dict[tuple[int, int], int] = {}  # (j, v): vertices with top[j] <= v
+    for t, tab in enumerate(vertices):
+        for j, v in enumerate(tab.top):
+            for w in range(v, 2 * tab.n + 1):
+                at_most[j, w] = at_most.get((j, w), 0) | 1 << t
+    return [reduce(and_, (at_most[j, v] for j, v in enumerate(tab.top)))
+            for tab in vertices]
 
 
 def order_conjecture_report(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationReport:
@@ -222,33 +247,19 @@ def order_conjecture_report(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
     forces componentwise dominance.  The converse is an open question; its
     status is evidence only and never fails a build.
     """
-    with _Timer() as timer:
-        graph = build_tableau_graph(n, max_n)
-        tableaux = graph.vertices
-        theorem_witness = None
-        converse_witness = None
-        for s in tableaux:
-            for t in tableaux:
-                comparable = leq(s, t, graph)
-                dominates = first_row_dominates(s, t)
-                if comparable and not dominates and theorem_witness is None:
-                    theorem_witness = f"S={s.row_word()}, T={t.row_word()}"
-                if dominates and not comparable and converse_witness is None:
-                    converse_witness = f"S={s.row_word()}, T={t.row_word()}"
-        checks = [
-            Check(
-                "comparable-implies-dominates",
-                theorem_witness is None,
-                theorem_witness,
-            ),
-            Check(
-                "dominates-implies-comparable",
-                converse_witness is None,
-                converse_witness,
-                informational=True,
-            ),
-        ]
-    return VerificationReport(n, checks, timer.elapsed, _stamp())
+    start = time.perf_counter()
+    graph = build_tableau_graph(n, max_n)
+    masks = list(zip(graph.descendants, _dominance_masks(graph.vertices)))
+    theorem = _pair_words(
+        graph.vertices, _first_violation(up & ~dom for up, dom in masks))
+    converse = _pair_words(
+        graph.vertices, _first_violation(dom & ~up for up, dom in masks))
+    checks = [
+        Check("comparable-implies-dominates", theorem is None, theorem),
+        Check("dominates-implies-comparable", converse is None, converse,
+              informational=True),
+    ]
+    return _report(n, checks, start)
 
 
 def matrix_to_csv(

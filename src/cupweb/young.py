@@ -202,35 +202,19 @@ class TableauGraph:
         self.vertices = vertices
         self.edges = edges
         self._position = {v: k for k, v in enumerate(vertices)}
-        self._successors: list[list[int]] = [[] for _ in vertices]
-        for src, dst, _ in edges:
-            self._successors[src].append(dst)
-        self._ranks = tuple(_rank(v) for v in vertices)
-        self._descendants = self._compute_descendants()
-
-    def _compute_descendants(self) -> list[int]:
-        # Bitset per vertex; filled in decreasing rank order so every
-        # successor is complete before its predecessors are processed.
-        desc = [0] * len(self.vertices)
-        for v in sorted(range(len(self.vertices)),
-                        key=lambda k: -self._ranks[k]):
-            mask = 1 << v
-            for s in self._successors[v]:
-                mask |= desc[s]
-            desc[v] = mask
-        return desc
+        # Bit j of descendants[k] is set when vertex j is reachable from
+        # vertex k.  An edge raises the rank by one, so taking edges by
+        # falling source rank completes every target before its sources.
+        desc = [1 << k for k in range(len(vertices))]
+        for src, dst, _ in sorted(edges, key=lambda e: -_rank(vertices[e[0]])):
+            desc[src] |= desc[dst]
+        self.descendants = tuple(desc)
 
     def position(self, tableau: StandardTableau) -> int:
         try:
             return self._position[tableau]
         except KeyError:
             raise ValueError(f"{tableau!r} is not a vertex of this graph") from None
-
-    def rank_of(self, tableau: StandardTableau) -> int:
-        return self._ranks[self.position(tableau)]
-
-    def reachable(self, src: StandardTableau, dst: StandardTableau) -> bool:
-        return bool(self._descendants[self.position(src)] >> self.position(dst) & 1)
 
 
 @cached_on_n
@@ -248,12 +232,12 @@ def build_tableau_graph(n: int) -> TableauGraph:
 
 def leq(s: StandardTableau, t: StandardTableau, graph: TableauGraph) -> bool:
     """True iff there is a directed path from s to t (reflexively)."""
-    return graph.reachable(s, t)
+    return bool(graph.descendants[graph.position(s)] >> graph.position(t) & 1)
 
 
 def rank(tableau: StandardTableau, graph: TableauGraph) -> int:
     """Number of edges on any directed path from ``t0`` to ``tableau``."""
-    return graph.rank_of(tableau)
+    return _rank(graph.vertices[graph.position(tableau)])
 
 
 def first_row_dominates(s: StandardTableau, t: StandardTableau) -> bool:
@@ -282,7 +266,7 @@ def paths_between(graph: TableauGraph, src: StandardTableau,
             found.append(list(labels))
             return limit is not None and len(found) >= limit
         for b, i in out_edges[v]:
-            if not graph.reachable(graph.vertices[b], graph.vertices[goal]):
+            if not leq(graph.vertices[b], graph.vertices[goal], graph):
                 continue
             labels.append(i)
             if walk(b, labels):

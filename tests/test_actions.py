@@ -24,6 +24,8 @@ from cupweb import (
     shifted_product,
     t0,
     to_web_basis,
+    transition_matrix,
+    verify_psi,
 )
 from _oracles import act_model, all_pairings, model_of_vector
 
@@ -31,6 +33,23 @@ T_FOUR = StandardTableau((1, 2, 4, 7), (3, 5, 6, 8))
 R_FOUR = StandardTableau((1, 2, 4, 6), (3, 5, 7, 8))
 FLAT_TWO = TwoRowTableau(((1, 3), (2, 4)))   # top 1 2 / bottom 3 4
 BASE_TWO = TwoRowTableau(((1, 2), (3, 4)))   # the minimum tableau at n=2
+
+
+def random_filling(rng: random.Random, n: int) -> TwoRowTableau:
+    dots = list(range(1, 2 * n + 1))
+    rng.shuffle(dots)
+    tab, _ = canonicalize_columns(zip(dots[::2], dots[1::2]))
+    return tab
+
+
+def smallest_step_budget(tab: TwoRowTableau) -> int:
+    budget = 0
+    while True:
+        try:
+            garnir_straighten(tab, step_budget=budget)
+            return budget
+        except SizeLimitError:
+            budget += 1
 
 
 def unit(tableau: StandardTableau) -> TabloidVector:
@@ -239,6 +258,38 @@ class TestStraightening:
         for _ in range(2):
             with pytest.raises(SizeLimitError):
                 garnir_straighten(tab, step_budget=2)
+
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_matches_tabloid_model_random(self, n):
+        rng = random.Random(40 + n)
+        for _ in range(25):
+            tab = random_filling(rng, n)
+            assert model_of_vector(garnir_straighten(tab)) == model_of_vector(
+                TabloidVector.unit(tab)
+            )
+
+    def test_step_budget_is_deterministic(self):
+        # The budget counts distinct expansions of one input, so the
+        # smallest budget that lets a filling through does not depend on
+        # what ran before it.
+        rng = random.Random(12)
+        fillings = []
+        while len(fillings) < 12:
+            tab = random_filling(rng, rng.randint(2, 5))
+            if not tab.is_standard():
+                fillings.append(tab)
+        cold = [smallest_step_budget(tab) for tab in fillings]
+        for tab in fillings:
+            garnir_straighten(tab)
+        after_others = [smallest_step_budget(tab) for tab in reversed(fillings)]
+        assert verify_psi(transition_matrix(5)).passed
+        after_psi = [smallest_step_budget(tab) for tab in fillings]
+        assert cold == after_others[::-1] == after_psi
+        for tab, budget in zip(fillings, cold):
+            assert budget >= 1
+            with pytest.raises(SizeLimitError):
+                garnir_straighten(tab, step_budget=budget - 1)
 
 
 class TestIntertwining:

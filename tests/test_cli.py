@@ -271,6 +271,28 @@ class TestRender:
         assert code == 2
 
 
+class TestMalformedShapes:
+    """JSON of the wrong shape is bad input: exit 2 and a one-line error."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["resolve", '{"arcs": [1, 2]}'],
+            ["resolve", '{"arcs": [[1, "x"], [2, 3]]}'],
+            ["resolve", '{"arcs": null}'],
+            ["resolve", "[[1,2]]"],
+            ["witness", '{"top": 1, "bottom": 2}', '{"top": [1, 3], "bottom": [2, 4]}'],
+            ["render", '{"tableau_graph": [3]}', "--format", "dot"],
+        ],
+        ids=["int-arcs", "str-dot", "null-arcs", "list-root", "int-rows", "list-size"],
+    )
+    def test_exit_2_without_traceback(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 class TestOutputFiles:
     def test_output_flag(self, tmp_path, capsys):
         target = tmp_path / "matrix.csv"

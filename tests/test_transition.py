@@ -133,6 +133,85 @@ def test_verifiers_read_the_matrix_size_as_its_limit():
     assert verify_positivity(matrix).passed
 
 
+def _permuted(matrix: TransitionMatrix, perm) -> TransitionMatrix:
+    """The same matrix over the index reordered by ``perm``, rows and columns."""
+    index = tuple(matrix.index[p] for p in perm)
+    entries = tuple(tuple(matrix.entry(p, q) for q in perm) for p in perm)
+    return TransitionMatrix(matrix.n, index, entries)
+
+
+NOT_UPPER = "matrix not invertible over the order: matrix must be upper-triangular"
+
+
+class TestHandBuiltIndex:
+    """Verifiers read a matrix over its own index, in any order."""
+
+    # Witnesses in check order: diagonal-ones, support-within-order,
+    # positive-iff-comparable, straightening-matches-inverse.
+    @pytest.mark.parametrize(
+        "perm, corruption, witnesses",
+        [
+            ((4, 2, 0, 3, 1), None, [None, None, None, NOT_UPPER]),
+            ((4, 2, 0, 3, 1), (0, 1, 5), [
+                None,
+                "S=1 2 3 / 4 5 6, T=1 3 4 / 2 5 6, entry=5",
+                "S=1 2 3 / 4 5 6, T=1 3 4 / 2 5 6, entry=5, comparable=False",
+                NOT_UPPER,
+            ]),
+            ((4, 2, 0, 3, 1), (3, 0, 0), [
+                None,
+                None,
+                "S=1 2 4 / 3 5 6, T=1 2 3 / 4 5 6, entry=0, comparable=True",
+                NOT_UPPER,
+            ]),
+            ((0, 2, 1, 3, 4), None, [None, None, None, None]),
+            ((0, 2, 1, 3, 4), (1, 3, 2), [None, None, None, "web of 1 2 4 / 3 5 6"]),
+            ((0, 2, 1, 3, 4), (2, 2, 3), [
+                "1 2 5 / 3 4 6",
+                None,
+                None,
+                "matrix not invertible over the order: "
+                "matrix diagonal must be all ones",
+            ]),
+        ],
+    )
+    def test_permuted_n3(self, perm, corruption, witnesses):
+        matrix = _permuted(transition_matrix(3), perm)
+        if corruption:
+            matrix = _corrupt(matrix, *corruption)
+        checks = [
+            c
+            for verify in (verify_unitriangular, verify_positivity, verify_psi)
+            for c in verify(matrix).checks
+        ]
+        assert [c.witness for c in checks] == witnesses
+        assert [c.passed for c in checks] == [w is None for w in witnesses]
+
+    @pytest.mark.parametrize("perm", [None, (13, 2, 7, 0, 11, 5, 1, 9, 3, 12, 6, 10, 4, 8)])
+    def test_witness_is_the_first_pair_in_row_major_order(self, perm):
+        rng = random.Random(17)
+        matrix = transition_matrix(4)
+        if perm:
+            matrix = _permuted(matrix, perm)
+        graph = build_tableau_graph(4)
+        for _ in range(20):
+            bad = matrix
+            for s in rng.sample(range(bad.size), 2):  # a few entries in two rows
+                for t in rng.sample(range(bad.size), 3):
+                    bad = _corrupt(bad, s, t, rng.choice([-1, 0, 2]))
+            support = positivity = None
+            for s, S in enumerate(bad.index):
+                for t, T in enumerate(bad.index):
+                    entry, comparable = bad.entry(s, t), leq(S, T, graph)
+                    words = f"S={S.row_word()}, T={T.row_word()}, entry={entry}"
+                    if support is None and entry != 0 and not comparable:
+                        support = words
+                    if positivity is None and (entry > 0) != comparable:
+                        positivity = f"{words}, comparable={comparable}"
+            assert verify_unitriangular(bad).checks[1].witness == support
+            assert verify_positivity(bad).checks[0].witness == positivity
+
+
 class TestInverse:
     def test_n1(self):
         assert inverse_matrix(transition_matrix(1)) == ((1,),)
@@ -165,6 +244,31 @@ class TestPsi:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_passes(self, n):
         assert verify_psi(transition_matrix(n)).passed
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_straightened_cups_are_the_inverse_columns(self, n):
+        # The dense inverse stays the independent reference for verify_psi.
+        matrix = transition_matrix(n)
+        inverse = inverse_matrix(matrix)
+        row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
+        for col, tab in enumerate(matrix.index):
+            _, vec = cup_polytabloid(cup_of_tableau(tab))
+            computed = [0] * matrix.size
+            for key, coeff in vec.terms.items():
+                computed[row_of[key.columns]] = coeff
+            assert computed == [row[col] for row in inverse]
+
+    def test_passes_n7(self):
+        assert verify_psi(transition_matrix(7)).passed
+
+    def test_above_diagonal_corruption_names_its_column(self):
+        # Columns of M^-1 left of t do not read column t of M, so the first
+        # straightened cup that misses is the corrupted column's.
+        matrix = transition_matrix(4)
+        for s, t in [(0, 13), (1, 5), (3, 4)]:
+            report = verify_psi(_corrupt(matrix, s, t, matrix.entry(s, t) + 1))
+            assert not report.passed
+            assert report.checks[0].witness == f"web of {matrix.index[t].row_word()}"
 
     def test_base_column_is_unit_vector(self):
         matrix = transition_matrix(3)
