@@ -18,13 +18,13 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass
-from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from heapq import heapify, heappop, heappush
+from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
 from .resolution import resolve_full
-from .young import EntryCase, StandardTableau, classify, swap_entries, t0
+from .young import StandardTableau, is_permutation, t0
 
 DEFAULT_STEP_BUDGET = 10**6
 
@@ -42,7 +42,7 @@ class TwoRowTableau:
 
     def __post_init__(self):
         entries = [e for col in self.columns for e in col]
-        if sorted(entries) != list(range(1, len(entries) + 1)):
+        if not is_permutation(entries):
             raise ValueError("entries must be a permutation of 1..2n")
         for a, b in self.columns:
             if a >= b:
@@ -246,18 +246,10 @@ def act_web(i: int, v: DiagramVector) -> DiagramVector:
     Swapping the dots of a cup diagram creates at most one crossing, which
     is resolved away; the support of the result stays noncrossing.
     """
-    if not 1 <= i <= v.n2 - 1:
-        raise ValueError(f"generator index {i} out of range for n2={v.n2}")
-    out: dict[Matching, int] = {}
-    for w, coeff in v.terms.items():
+    for w in v.terms:
         if not is_noncrossing(w):
             raise ValueError(f"support must be noncrossing, got {w!r}")
-        if w.partner(i) == i + 1:
-            out[w] = out.get(w, 0) - coeff
-            continue
-        for sink, mult in resolve_full(swap_dots(w, i)).items():
-            out[sink] = out.get(sink, 0) + coeff * mult
-    return DiagramVector(v.n2, out)
+    return to_web_basis(act_matching(i, v))
 
 
 def _first_descent(columns: tuple[tuple[int, int], ...]) -> int | None:
@@ -277,26 +269,34 @@ def _garnir_key(columns: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     return sum(a for a, _ in columns), -inversions
 
 
-def _straighten_key(
-    columns: tuple[tuple[int, int], ...], step_budget: int
-) -> Iterator[tuple[TwoRowTableau, int]]:
-    # Trusts ``columns`` to be in normal form, as both rewrite children are.
-    # Fillings are popped in Garnir order, ``_garnir_key`` ascending.  Both
-    # children of a rewrite come strictly later (the keep-order child has
-    # one inversion less, the re-sorted one a larger top-row sum), so each
-    # filling is popped after all its parents, with its final coefficient,
-    # and expanded once; ``step_budget`` bounds these expansions.
-    coeffs = {columns: 1}
-    heap = [(*_garnir_key(columns), columns)]
+def _straighten(
+    seeds: Mapping[tuple[tuple[int, int], ...], Mapping[Hashable, int]],
+    step_budget: int,
+) -> dict[tuple[tuple[int, int], ...], dict[Hashable, int]]:
+    """Straighten every seed in one sweep: standard columns -> ``{label: coeff}``.
+
+    Each seed is a filling in normal form, as both rewrite children are,
+    with a ``{label: coeff}`` vector; a label whose terms cancel may stay
+    with coefficient 0.  Fillings are popped in Garnir order, ``_garnir_key``
+    ascending.  Both children of a rewrite come strictly later (the
+    keep-order child has one inversion less, the re-sorted one a larger
+    top-row sum), so each filling, however many seeds share it, is popped
+    after all its parents, with its final vector, and expanded once;
+    ``step_budget`` bounds these expansions.
+    """
+    vectors = {cols: dict(vec) for cols, vec in seeds.items()}
+    heap = [(*_garnir_key(cols), cols) for cols in vectors]
+    heapify(heap)
+    out = {}
     steps = 0
     while heap:
         top_sum, neg_inversions, cols = heappop(heap)
-        coeff = coeffs.pop(cols)
-        if coeff == 0:
+        vec = vectors.pop(cols)
+        if not any(vec.values()):
             continue
         j = _first_descent(cols)
         if j is None:
-            yield TwoRowTableau(cols), coeff
+            out[cols] = vec
             continue
         steps += 1
         if steps > step_budget:
@@ -308,52 +308,52 @@ def _straighten_key(
         # normal form guarantees a < c < x < b here
         keep_order = cols[:j] + ((a, x), (c, b)) + cols[j + 2:]
         resorted = tuple(sorted(cols[:j] + ((a, c), (x, b)) + cols[j + 2:]))
-        for child, delta in ((keep_order, coeff), (resorted, -coeff)):
-            if child in coeffs:
-                coeffs[child] += delta
-                continue
-            coeffs[child] = delta
-            if child is keep_order:
-                heappush(heap, (top_sum, neg_inversions + 1, child))
-            else:
-                heappush(heap, (*_garnir_key(child), child))
+        for child, sign in ((keep_order, 1), (resorted, -1)):
+            target = vectors.get(child)
+            if target is None:
+                target = vectors[child] = {}
+                if child is keep_order:
+                    heappush(heap, (top_sum, neg_inversions + 1, child))
+                else:
+                    heappush(heap, (*_garnir_key(child), child))
+            for label, coeff in vec.items():
+                target[label] = target.get(label, 0) + sign * coeff
+    return out
 
 
 def garnir_straighten(
     x: Union[TwoRowTableau, TabloidVector],
     step_budget: int = DEFAULT_STEP_BUDGET,
 ) -> TabloidVector:
-    """Expand a filling (or combination of fillings) over standard keys."""
+    """Expand a filling (or combination of fillings) over standard keys.
+
+    ``step_budget`` bounds the distinct fillings expanded for the whole
+    input, however many of its keys share them.
+    """
     vec = TabloidVector.unit(x) if isinstance(x, TwoRowTableau) else x
-    out: dict[TwoRowTableau, int] = {}
-    for key, coeff in vec.terms.items():
-        for skey, scoeff in _straighten_key(key.columns, step_budget):
-            out[skey] = out.get(skey, 0) + coeff * scoeff
-    return TabloidVector(vec.n, out)
+    seeds = {key.columns: {None: coeff} for key, coeff in vec.terms.items()}
+    out = _straighten(seeds, step_budget)
+    return TabloidVector(vec.n, {TwoRowTableau(k): c[None] for k, c in out.items()})
 
 
 def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:
-    """Generator i on standard-basis vectors, straightened back to standard keys."""
-    out: dict[TwoRowTableau, int] = {}
+    """Generator i on standard-basis vectors, straightened back to standard keys.
+
+    Exchanging i and i+1 in a column (i, i+1) flips it, which costs a sign;
+    a move from the bottom row to the top is already standard.
+    """
+    if not 1 <= i <= 2 * v.n - 1:
+        raise ValueError(f"generator index {i} out of range for n={v.n}")
+    swapped: dict[TwoRowTableau, int] = {}
     for key, coeff in v.terms.items():
         if not key.is_standard():
             raise ValueError(f"key {key!r} is not standard")
-        st = key.to_standard()
-        case = classify(st, i)
-        if case is EntryCase.SAME_COLUMN:
-            out[key] = out.get(key, 0) - coeff
-        elif case is EntryCase.BELOW:
-            moved = TwoRowTableau.from_standard(swap_entries(st, i))
-            out[moved] = out.get(moved, 0) + coeff
-        else:
-            swapped = [
-                tuple(i + 1 if e == i else i if e == i + 1 else e for e in col)
-                for col in key.columns
-            ]
-            tab, sign = canonicalize_columns(swapped)
-            for skey, scoeff in _straighten_key(tab.columns, DEFAULT_STEP_BUDGET):
-                out[skey] = out.get(skey, 0) + sign * coeff * scoeff
-    return TabloidVector(v.n, out)
+        tab, sign = canonicalize_columns(
+            tuple(i + 1 if e == i else i if e == i + 1 else e for e in col)
+            for col in key.columns
+        )
+        swapped[tab] = swapped.get(tab, 0) + sign * coeff
+    return garnir_straighten(TabloidVector(v.n, swapped))
 
 
 def cup_polytabloid(

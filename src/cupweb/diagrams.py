@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .young import StandardTableau
+from .young import StandardTableau, is_permutation
 
 
 class Matching:
@@ -20,9 +20,7 @@ class Matching:
 
     def __init__(self, arcs: Iterable[Sequence[int]]):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
-        dots = [d for arc in canon for d in arc]
-        n2 = 2 * len(canon)
-        if sorted(dots) != list(range(1, n2 + 1)):
+        if not is_permutation([d for arc in canon for d in arc]):
             raise ValueError("arcs must cover each dot 1..2n exactly once")
         object.__setattr__(self, "arcs", canon)
         object.__setattr__(self, "_partner", None)

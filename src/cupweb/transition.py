@@ -15,7 +15,7 @@ from datetime import datetime, timezone
 from functools import reduce
 from operator import and_
 
-from .actions import DEFAULT_STEP_BUDGET, cup_polytabloid
+from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
 from .resolution import DEFAULT_NODE_BUDGET, resolve_arcs
 from .young import (
@@ -122,6 +122,8 @@ def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
 
 def _up_sets(matrix: TransitionMatrix) -> tuple[int, ...]:
     """Bit t of the s-th mask is set when index[s] <= index[t] in the order."""
+    if not matrix.index:
+        return ()
     graph = build_tableau_graph(matrix.n, max_n=matrix.n)
     at = [graph.position(t) for t in matrix.index]
     up = graph.descendants
@@ -167,38 +169,31 @@ def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     return _report(matrix.n, checks, start)
 
 
-def _sparse_columns(matrix: TransitionMatrix) -> list[list[tuple[int, int]]]:
-    """Column t as the ``(s, entry[s][t])`` pairs with a nonzero entry."""
-    return [[(s, e) for s, e in enumerate(col) if e] for col in zip(*matrix.entries)]
-
-
-def _unitriangular_fault(matrix: TransitionMatrix, columns) -> str | None:
-    """Why M is not unitriangular, judged at its first failing column: a
-    diagonal entry other than 1, else a nonzero entry below the diagonal."""
-    bad = _first_violation(
-        (matrix.entry(t, t) != 1) << t | sum(1 << s for s, _ in col if s > t)
-        for t, col in enumerate(columns)
-    )
-    if bad is None:
-        return None
-    t, s = bad
-    if s == t:
-        return "matrix diagonal must be all ones"
-    return "matrix must be upper-triangular"
-
-
 def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unitriangular matrix by back-substitution."""
-    fault = _unitriangular_fault(matrix, _sparse_columns(matrix))
-    if fault:
-        raise ValueError(fault)
+    """Exact inverse of a unitriangular matrix, one sparse column at a time.
+
+    From M^-1 M = I with a unit diagonal, column t of M^-1 is e_t minus
+    M[k][t] times column k of M^-1, summed over k < t, so each column is
+    read off the nonzero entries of M's column t and earlier columns of
+    M^-1.  A diagonal entry other than 1, or else a nonzero entry below the
+    diagonal, raises ``ValueError`` at the first column that has one.
+    """
     size = matrix.size
-    inverse = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
-    for j in range(size):
-        for i in range(j - 1, -1, -1):
-            inverse[i][j] = -sum(
-                matrix.entry(i, k) * inverse[k][j] for k in range(i + 1, j + 1)
-            )
+    inverse = [[0] * size for _ in range(size)]
+    found: list[list[tuple[int, int]]] = []  # (row, entry) nonzeros per column of M^-1
+    for t, col in enumerate(zip(*matrix.entries)):
+        if col[t] != 1:
+            raise ValueError("matrix diagonal must be all ones")
+        if any(col[t + 1:]):
+            raise ValueError("matrix must be upper-triangular")
+        x = {t: 1}
+        for k, e in enumerate(col[:t]):
+            if e:
+                for s, v in found[k]:
+                    x[s] = x.get(s, 0) - e * v
+        found.append([(s, v) for s, v in x.items() if v])
+        for s, v in found[t]:
+            inverse[s][t] = v
     return tuple(tuple(row) for row in inverse)
 
 
@@ -207,23 +202,24 @@ def verify_psi(
 ) -> VerificationReport:
     """Straightening each cup diagram gives the matching column of M^-1.
 
-    For a unitriangular M that is M·psi_c = e_c for every straightened
-    column psi_c, checked on the sparse columns of M.
+    Every cup is seeded under its own column in one straightening sweep,
+    and the straightened columns are compared with ``inverse_matrix``.
     """
     start = time.perf_counter()
-    columns = _sparse_columns(matrix)
-    fault = _unitriangular_fault(matrix, columns)
-    witness = fault and f"matrix not invertible over the order: {fault}"
-    position = {t.columns(): k for k, t in enumerate(matrix.index)}
-    for c, tab in enumerate(matrix.index if witness is None else ()):
-        _, vec = cup_polytabloid(cup_of_tableau(tab), step_budget)
-        product: dict[int, int] = {}
-        for key, coeff in vec.terms.items():
-            for s, e in columns[position[key.columns]]:
-                product[s] = product.get(s, 0) + e * coeff
-        if {s: v for s, v in product.items() if v} != {c: 1}:
-            witness = f"web of {tab.row_word()}"
-            break
+    try:
+        inverse = inverse_matrix(matrix)
+    except ValueError as exc:
+        witness = f"matrix not invertible over the order: {exc}"
+    else:
+        row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
+        psi = [[0] * matrix.size for _ in matrix.index]
+        seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
+        for cols, vec in _straighten(seeds, step_budget).items():
+            for c, coeff in vec.items():
+                psi[row_of[cols]][c] = coeff
+        columns = zip(zip(*psi), zip(*inverse))
+        bad = next((c for c, (got, want) in enumerate(columns) if got != want), None)
+        witness = None if bad is None else f"web of {matrix.index[bad].row_word()}"
     checks = [Check("straightening-matches-inverse", witness is None, witness)]
     return _report(matrix.n, checks, start)
 

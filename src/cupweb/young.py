@@ -36,6 +36,12 @@ class EntryCase(enum.Enum):
     BELOW = "below"
 
 
+def is_permutation(values) -> bool:
+    """True when ``values`` are 1..len(values) in some order, each of type int."""
+    return sorted(values) == list(range(1, len(values) + 1)) and all(
+        type(v) is int for v in values)
+
+
 @dataclass(frozen=True)
 class StandardTableau:
     """A standard filling of two rows of n boxes with 1..2n."""
@@ -47,7 +53,7 @@ class StandardTableau:
         n = len(self.top)
         if n < 1 or len(self.bottom) != n:
             raise ValueError("rows must be nonempty and of equal length")
-        if sorted(self.top + self.bottom) != list(range(1, 2 * n + 1)):
+        if not is_permutation(self.top + self.bottom):
             raise ValueError("entries must be a permutation of 1..2n")
         for row in (self.top, self.bottom):
             if any(row[j] >= row[j + 1] for j in range(n - 1)):

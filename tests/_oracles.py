@@ -3,8 +3,9 @@
 These stay independent of the package code paths they check: tableaux are
 generated by filtering raw permutations, crossings by scanning all arc
 pairs, resolutions by a memo-free recursion, and polytabloids are expanded
-over row tabloids directly from the signed-column-flip definition.  Ranks are checked against the inversion
-count of the permutation that carries ``t0`` to a tableau.
+over row tabloids directly from the signed-column-flip definition, and
+inverses by dense back-substitution.  Ranks are checked against the
+inversion count of the permutation that carries ``t0`` to a tableau.
 """
 
 from dataclasses import dataclass
@@ -56,6 +57,18 @@ def brute_resolve(arcs):
         for sink, mult in brute_resolve(rest + list(smoothing)).items():
             out[sink] = out.get(sink, 0) + mult
     return out
+
+
+def dense_inverse(entries):
+    """Inverse of an upper unitriangular matrix by dense back-substitution."""
+    size = len(entries)
+    inverse = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    for j in range(size):
+        for i in range(j - 1, -1, -1):
+            inverse[i][j] = -sum(
+                entries[i][k] * inverse[k][j] for k in range(i + 1, j + 1)
+            )
+    return tuple(tuple(row) for row in inverse)
 
 
 def polytabloid_model(columns):

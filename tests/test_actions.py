@@ -52,6 +52,16 @@ def smallest_step_budget(tab: TwoRowTableau) -> int:
             budget += 1
 
 
+def rewrite_children(tab: TwoRowTableau) -> list[TwoRowTableau]:
+    """The two fillings of one three-term rewrite at the first descent."""
+    cols = tab.columns
+    j = next(j for j in range(len(cols) - 1) if cols[j][1] > cols[j + 1][1])
+    (a, b), (c, x) = cols[j], cols[j + 1]
+    rest = cols[:j] + cols[j + 2:]
+    return [canonicalize_columns(rest + pair)[0]
+            for pair in (((a, x), (c, b)), ((a, c), (x, b)))]
+
+
 def unit(tableau: StandardTableau) -> TabloidVector:
     return TabloidVector.unit(TwoRowTableau.from_standard(tableau))
 
@@ -73,6 +83,11 @@ class TestTwoRowTableau:
         [((2, 1), (3, 4)), ((3, 4), (1, 2)), ((1, 2), (2, 3))],
     )
     def test_rejects_non_normal_form(self, cols):
+        with pytest.raises(ValueError):
+            TwoRowTableau(cols)
+
+    @pytest.mark.parametrize("cols", [((True, 3), (2, 4)), ((1.0, 3), (2, 4))])
+    def test_rejects_entries_that_are_not_ints(self, cols):
         with pytest.raises(ValueError):
             TwoRowTableau(cols)
 
@@ -290,6 +305,27 @@ class TestStraightening:
             assert budget >= 1
             with pytest.raises(SizeLimitError):
                 garnir_straighten(tab, step_budget=budget - 1)
+
+    def test_vector_is_one_sweep(self):
+        # A vector is straightened in one sweep: the result is the sum of
+        # the per-key results, and a filling reached from several keys is
+        # expanded once, so the vector needs at most the sum of their budgets.
+        rng = random.Random(2026)
+        for trial in range(20):
+            n = rng.randint(3, 6)
+            keys = [random_filling(rng, n) for _ in range(rng.randint(3, 5))]
+            if trial % 2 == 0:  # add one rewrite child of a nonstandard key
+                parent = next((k for k in keys if not k.is_standard()), None)
+                if parent is not None:
+                    keys.append(rng.choice(rewrite_children(parent)))
+            terms = {key: rng.choice([-3, -2, -1, 1, 2, 3]) for key in keys}
+            vec = TabloidVector(n, terms)
+            expected = TabloidVector(n, {})
+            for key, coeff in terms.items():
+                expected = expected + coeff * garnir_straighten(key)
+            assert garnir_straighten(vec) == expected
+            per_key = sum(smallest_step_budget(key) for key in terms)
+            assert smallest_step_budget(vec) <= per_key
 
 
 class TestIntertwining:

@@ -208,6 +208,12 @@ class TestVerify:
         reports = json.loads(out)
         assert not reports[0]["passed"]
 
+    def test_exhausted_step_budget_is_bad_input(self, capsys):
+        code, out, err = run(capsys, "verify", "-n", "4", "psi", "--step-budget", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_self_test_all_fails(self, capsys):
         code, _, _ = run(capsys, "verify", "-n", "2", "all", "--self-test")
         assert code == 1
@@ -283,8 +289,13 @@ class TestMalformedShapes:
             ["resolve", "[[1,2]]"],
             ["witness", '{"top": 1, "bottom": 2}', '{"top": [1, 3], "bottom": [2, 4]}'],
             ["render", '{"tableau_graph": [3]}', "--format", "dot"],
+            ["resolve", '{"arcs": [[true, 3], [2, 4]]}'],
+            ["witness", '{"top": [true, 2], "bottom": [3, 4]}',
+             '{"top": [1, 2], "bottom": [3, 4]}'],
+            ["render", '{"arcs": [[1.0, 2], [3, 4]]}'],
         ],
-        ids=["int-arcs", "str-dot", "null-arcs", "list-root", "int-rows", "list-size"],
+        ids=["int-arcs", "str-dot", "null-arcs", "list-root", "int-rows", "list-size",
+             "bool-dot", "bool-top", "float-dot"],
     )
     def test_exit_2_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -119,6 +119,15 @@ class TestResolveFull:
             Matching([(1, 6), (2, 3), (4, 5)]): 1,
         }
 
+    def test_bool_dots_leave_no_trace(self):
+        # True == 1 with the same hash, so an accepted True dot would put
+        # its sinks in the memo under the valid matching's arcs.
+        resolution_module._FIRST_CACHE.clear()
+        with pytest.raises(ValueError):
+            resolve_full(Matching([(True, 3), (2, 4)]))
+        sinks = resolve_full(Matching([(1, 3), (2, 4)]))
+        assert all(type(d) is int for w in sinks for arc in w.arcs for d in arc)
+
     def test_noncrossing_fixed(self):
         w = Matching([(1, 6), (2, 3), (4, 5)])
         assert resolve_full(w) == {w: 1}

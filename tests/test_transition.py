@@ -32,7 +32,7 @@ from cupweb import (
     witness_path,
 )
 from cupweb.transition import matrix_to_csv
-from _oracles import brute_resolve
+from _oracles import brute_resolve, dense_inverse
 
 
 def _corrupt(matrix: TransitionMatrix, s: int, t: int, value: int) -> TransitionMatrix:
@@ -129,8 +129,11 @@ def test_verifiers_read_the_matrix_size_as_its_limit():
     # A matrix built past DEFAULT_MAX_N (with --force or max_n) had its
     # limit checked when it was built, so the verifiers must not refuse it.
     matrix = TransitionMatrix(9, (), ())
+    graphs = build_tableau_graph.cache_info().currsize
     assert verify_unitriangular(matrix).passed
     assert verify_positivity(matrix).passed
+    # An empty index needs no order, so no n = 9 graph is built and cached.
+    assert build_tableau_graph.cache_info().currsize == graphs
 
 
 def _permuted(matrix: TransitionMatrix, perm) -> TransitionMatrix:
@@ -229,6 +232,11 @@ class TestInverse:
                 got = sum(matrix.entry(i, k) * inverse[k][j] for k in range(size))
                 assert got == (1 if i == j else 0)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
+    def test_matches_dense_back_substitution(self, n):
+        matrix = transition_matrix(n)
+        assert inverse_matrix(matrix) == dense_inverse(matrix.entries)
+
     def test_rejects_bad_diagonal(self):
         bad = _corrupt(transition_matrix(2), 1, 1, 2)
         with pytest.raises(ValueError):
@@ -247,7 +255,7 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_straightened_cups_are_the_inverse_columns(self, n):
-        # The dense inverse stays the independent reference for verify_psi.
+        # Cup by cup, against the inverse that verify_psi compares in one sweep.
         matrix = transition_matrix(n)
         inverse = inverse_matrix(matrix)
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
