@@ -169,14 +169,17 @@ def build_resolution_graph(
 _FIRST_CACHE: dict[tuple, tuple[tuple[tuple[tuple, int], ...], int]] = {}
 
 
-def resolve_arcs(arcs: tuple, node_budget: int) -> tuple[tuple, int]:
+def resolve_arcs(
+    arcs: tuple, node_budget: int, memo: dict = _FIRST_CACHE
+) -> tuple[tuple, int]:
     """Sorted (sink arcs, multiplicity) pairs and the tree size of ``arcs``.
 
-    The kernel of ``resolve_full``; trusts ``arcs`` to be canonical.
+    The kernel of ``resolve_full``; trusts ``arcs`` to be canonical.  Entries
+    are read from and stored in ``memo``, the session-wide cache by default.
     """
     # Cached and fresh subtrees are charged their full tree size, so the
-    # budget trips on the same inputs whatever the cache holds.
-    entry = _FIRST_CACHE.get(arcs)
+    # budget trips on the same inputs whatever the memo holds.
+    entry = memo.get(arcs)
     if entry is None:
         first = next(crossing_pairs(arcs), None)
         if first is None:
@@ -186,12 +189,12 @@ def resolve_arcs(arcs: tuple, node_budget: int) -> tuple[tuple, int]:
             size = 1
             for kind in (MoveKind.VV, MoveKind.NESTED):
                 child = _smooth(arcs, *first, kind)
-                sinks, child_size = resolve_arcs(child, node_budget - size)
+                sinks, child_size = resolve_arcs(child, node_budget - size, memo)
                 size += child_size
                 for sink, mult in sinks:
                     counts[sink] = counts.get(sink, 0) + mult
             entry = (tuple(sorted(counts.items())), size)
-        _FIRST_CACHE[arcs] = entry
+        memo[arcs] = entry
     if entry[1] > node_budget:
         raise SizeLimitError("resolution exceeded its node budget")
     return entry

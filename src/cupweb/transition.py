@@ -5,6 +5,13 @@ Row and column indices both run over the canonical tableau order (rank,
 then lexicographic top row).  Column T holds the cup-diagram expansion of
 the column matching of T, so entry[S][T] counts how often the cup diagram
 of S appears as a sink when that matching is resolved.
+
+The matrix is built by one-arc insertion.  The last column of T is
+(a, 2n), a the largest top entry; dropping it and lowering the entries
+above a by one leaves a tableau T' of shape (n-1, n-1).  Column T of M_n
+is the sum of M_{n-1}[c', T'] times the expansion of c' with (a, 2n)
+inserted, so each entry is a sum over chains T_1 -> ... -> T_n = T of
+products of nonnegative insertion multiplicities.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from operator import and_
 
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
+from .errors import SizeLimitError
 from .resolution import DEFAULT_NODE_BUDGET, resolve_arcs
 from .young import (
     DEFAULT_MAX_N,
@@ -91,14 +99,42 @@ def _report(n: int, checks: list[Check], start: float) -> VerificationReport:
 
 @cached_on_n
 def transition_matrix(n: int) -> TransitionMatrix:
-    """Resolve every column matching and collect sink multiplicities."""
+    """Build M_1, ..., M_n in one loop by one-arc insertion.
+
+    Column T of M_k is the sum over c' of M_{k-1}[c', T'] * R(c', a), where
+    a = ``top[-1]``, T' has top row ``top[:-1]``, and R(c', a) resolves c'
+    lifted over a (entries >= a raised by one) plus the arc (a, 2k).  R and
+    the resolution under it are memoised for this build only.  A column
+    whose resolution tree, 2 * (column sum) - 1 nodes, exceeds
+    ``DEFAULT_NODE_BUDGET`` raises ``SizeLimitError``.
+    """
     index = enumerate_syt(n, max_n=n)
+    memo: dict = {}
+    inserted: dict[tuple, tuple] = {}  # (c', a) -> sinks of R(c', a)
+    columns: dict[tuple, dict] = {(): {(): 1}}  # M_0, by top row
+    for k in range(1, n + 1):
+        level = {}
+        for top, prev in columns.items():
+            for a in range(top[-1] + 1 if top else 1, 2 * k):
+                col: dict[tuple, int] = {}
+                for cup, mult in prev.items():
+                    sinks = inserted.get((cup, a))
+                    if sinks is None:
+                        lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
+                        arcs = tuple(sorted(lifted + [(a, 2 * k)]))
+                        sinks, _ = resolve_arcs(arcs, DEFAULT_NODE_BUDGET, memo)
+                        inserted[cup, a] = sinks
+                    for sink, m in sinks:
+                        col[sink] = col.get(sink, 0) + mult * m
+                if 2 * sum(col.values()) - 1 > DEFAULT_NODE_BUDGET:
+                    raise SizeLimitError("resolution exceeded its node budget")
+                level[top + (a,)] = col
+        columns = level
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     size = len(index)
     entries = [[0] * size for _ in range(size)]
     for col, tab in enumerate(index):
-        sinks, _ = resolve_arcs(tab.columns(), DEFAULT_NODE_BUDGET)
-        for arcs, mult in sinks:
+        for arcs, mult in columns[tab.top].items():
             entries[row_of[arcs]][col] = mult
     return TransitionMatrix(n, index, tuple(tuple(row) for row in entries))
 

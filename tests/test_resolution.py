@@ -179,7 +179,7 @@ class TestResolveFull:
         def warm_through_matrix(n):
             memo.clear()
             transition_matrix.cache_clear()
-            transition_matrix(n)  # fills the memo through resolve_arcs
+            transition_matrix(n)  # builds on a memo of its own
 
         rng = random.Random(17)
         for _ in range(12):

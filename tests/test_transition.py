@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -31,6 +32,9 @@ from cupweb import (
     verify_unitriangular,
     witness_path,
 )
+import cupweb.resolution as resolution_module
+import cupweb.transition as transition_module
+from cupweb.errors import SizeLimitError
 from cupweb.transition import matrix_to_csv
 from _oracles import brute_resolve, dense_inverse
 
@@ -84,6 +88,32 @@ class TestMatrix:
             for sink, mult in brute_resolve(tab.columns()).items():
                 expected[row_of[tuple(a for a, _ in sink)]] = mult
             assert [matrix.entry(row, col) for row in range(matrix.size)] == expected
+
+    def test_columns_match_per_column_resolution_n7(self):
+        matrix = transition_matrix(7)
+        row_of = {cup_of_tableau(t): k for k, t in enumerate(matrix.index)}
+        for col, tab in enumerate(matrix.index):
+            expected = [0] * matrix.size
+            for sink, mult in resolve_full(column_matching(tab.columns())).items():
+                expected[row_of[sink]] = mult
+            assert [matrix.entry(row, col) for row in range(matrix.size)] == expected
+
+    def test_node_budget_trips_at_the_largest_column_tree(self, monkeypatch):
+        # The largest column at n = 6 sums to 272: a tree of 543 nodes.
+        transition_matrix.cache_clear()
+        monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 542)
+        with pytest.raises(SizeLimitError, match="resolution exceeded its node budget"):
+            transition_matrix(6)
+        monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 543)
+        assert transition_matrix(6).size == 132
+
+    def test_build_leaves_the_session_cache_alone(self):
+        resolution_module._FIRST_CACHE.clear()
+        resolve_full(Matching([(1, 5), (2, 6), (3, 7), (4, 8)]))
+        before = dict(resolution_module._FIRST_CACHE)
+        transition_matrix.cache_clear()
+        transition_matrix(6)
+        assert resolution_module._FIRST_CACHE == before
 
 
 class TestUnitriangular:
@@ -441,6 +471,13 @@ class TestExports:
         assert body == ["1,1", "0,1"]
         assert any("order:" in ln for ln in comments)
         assert any("1 3 / 2 4" in ln for ln in comments)
+
+    def test_csv_n8_digest(self):
+        matrix = transition_matrix(8)
+        text = matrix_to_csv(matrix.entries, matrix.index, "transition matrix, n=8")
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "e1611ab25f3ed0e0dc846cf20c9f80f7a518e3bb9cc97e489d5d33b24d2f8005"
+        )
 
     def test_json_schema(self):
         data = transition_matrix(2).to_json()
