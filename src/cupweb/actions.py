@@ -51,6 +51,13 @@ class TwoRowTableau:
         if tops != sorted(tops):
             raise ValueError("columns must be sorted by top entry")
 
+    @classmethod
+    def _trusted(cls, columns: tuple[tuple[int, int], ...]) -> "TwoRowTableau":
+        """A filling on normal-form ``columns`` as given, without the checks."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "columns", columns)
+        return tab
+
     @property
     def n(self) -> int:
         return len(self.columns)
@@ -111,6 +118,14 @@ class _SparseVector:
                     clean[key] = coeff
         self.size = size
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, size: int, terms: dict):
+        """A vector on ``terms`` as given: nonzero coefficients, valid keys."""
+        v = object.__new__(cls)
+        v.size = size
+        v.terms = terms
+        return v
 
     def _check_key(self, key, size) -> None:
         raise NotImplementedError
@@ -333,7 +348,9 @@ def garnir_straighten(
     vec = TabloidVector.unit(x) if isinstance(x, TwoRowTableau) else x
     seeds = {key.columns: {None: coeff} for key, coeff in vec.terms.items()}
     out = _straighten(seeds, step_budget)
-    return TabloidVector(vec.n, {TwoRowTableau(k): c[None] for k, c in out.items()})
+    # The kernel's keys are standard normal-form columns: no re-validation.
+    terms = {TwoRowTableau._trusted(k): c[None] for k, c in out.items() if c[None]}
+    return TabloidVector._trusted(vec.n, terms)
 
 
 def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:

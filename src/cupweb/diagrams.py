@@ -25,6 +25,18 @@ class Matching:
         object.__setattr__(self, "arcs", canon)
         object.__setattr__(self, "_partner", None)
 
+    @classmethod
+    def _trusted(cls, arcs: tuple) -> "Matching":
+        """``cls`` on ``arcs`` as given, without the checks ``__init__`` runs.
+
+        For kernel output only: canonical arcs of int dots 1..2n, with no
+        crossing when ``cls`` is ``CupDiagram``.
+        """
+        m = object.__new__(cls)
+        m.arcs = arcs
+        m._partner = None
+        return m
+
     @property
     def n2(self) -> int:
         return 2 * len(self.arcs)

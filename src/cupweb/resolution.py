@@ -8,6 +8,13 @@ diagram basis, and is independent of which crossing gets picked at each
 node.  Both moves strictly decrease the number of crossings, so every
 expansion terminates.
 
+``resolve_full`` expands a matching by one-arc insertion.  Peeling the arc
+(a, 2k) at the last dot and lowering the dots above a, over and over,
+gives left ends a_1, ..., a_n; re-inserting (a_k, 2k) into every cup of
+the expansion so far, cup lifted over a_k, rebuilds the matching.  Since
+resolution is linear, each insertion is resolved on its own, and the
+session keeps the result per (cup, a): a table bounded by n alone.
+
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
 taking the column matching of T to the cup diagram of S.  It peels cups
@@ -85,9 +92,12 @@ def _smooth(arcs: tuple, left: tuple, right: tuple, kind: MoveKind) -> tuple:
 
 def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     """Replace the two arcs of ``crossing`` by the chosen smoothing."""
-    if not {crossing.left, crossing.right} <= set(m.arcs):
+    dots = crossing.left + crossing.right
+    if not ({crossing.left, crossing.right} <= set(m.arcs)
+            and all(type(d) is int for d in dots)):
         raise ValueError(f"{crossing} is not a crossing of {m!r}")
-    return Matching(_smooth(m.arcs, crossing.left, crossing.right, kind))
+    # Two crossing arcs of m, smoothed: the same dots, so a valid matching.
+    return Matching._trusted(_smooth(m.arcs, crossing.left, crossing.right, kind))
 
 
 def _pick(strategy: Strategy, m: Matching, found: list[Crossing],
@@ -125,7 +135,7 @@ class ResolutionGraph:
     def sink_multiset(self) -> dict[CupDiagram, int]:
         counts: dict[CupDiagram, int] = {}
         for k in self.sink_indices():
-            w = CupDiagram(self.nodes[k].arcs)
+            w = CupDiagram._trusted(self.nodes[k].arcs)  # a leaf has no crossing
             counts[w] = counts.get(w, 0) + 1
         return counts
 
@@ -163,19 +173,18 @@ def build_resolution_graph(
     return ResolutionGraph(m, nodes, edges)
 
 
-# Leftmost-crossing expansions by arc tuple: (sorted sink counts, number of
-# nodes in the resolution tree).  The choice of crossing depends only on the
-# matching, so one entry serves every occurrence of that matching.
-_FIRST_CACHE: dict[tuple, tuple[tuple[tuple[tuple, int], ...], int]] = {}
+# The session's one-arc insertions: (cup, a) -> the sinks of ``insert_arc``.
+# A cup of k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs
+# the table holds at most the sum over k <= n of C_{k-1} * (2k - 1) entries
+# (8,788 at n = 8), however many calls filled it.
+_INSERTED: dict[tuple[tuple, int], tuple] = {}
 
 
-def resolve_arcs(
-    arcs: tuple, node_budget: int, memo: dict = _FIRST_CACHE
-) -> tuple[tuple, int]:
+def resolve_arcs(arcs: tuple, node_budget: int, memo: dict) -> tuple[tuple, int]:
     """Sorted (sink arcs, multiplicity) pairs and the tree size of ``arcs``.
 
-    The kernel of ``resolve_full``; trusts ``arcs`` to be canonical.  Entries
-    are read from and stored in ``memo``, the session-wide cache by default.
+    Resolves the leftmost crossing first; trusts ``arcs`` to be canonical.
+    Entries are read from and stored in ``memo``, keyed on arc tuples.
     """
     # Cached and fresh subtrees are charged their full tree size, so the
     # budget trips on the same inputs whatever the memo holds.
@@ -200,6 +209,58 @@ def resolve_arcs(
     return entry
 
 
+def insert_arc(
+    cup: tuple, a: int, node_budget: int, table: dict, memo: dict
+) -> tuple:
+    """Sinks of ``cup`` lifted over ``a`` plus the arc (a, 2k), stored in ``table``.
+
+    ``cup`` is a canonical cup diagram of k - 1 arcs and 1 <= a < 2k;
+    lifting raises every dot >= a by one.  The result, keyed ``(cup, a)``,
+    is ``resolve_arcs``'s sink pairs, resolved on ``memo`` under
+    ``node_budget``.
+    """
+    lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
+    arcs = tuple(sorted(lifted + [(a, 2 * len(cup) + 2)]))
+    sinks, _ = resolve_arcs(arcs, node_budget, memo)
+    table[cup, a] = sinks
+    return sinks
+
+
+def insert_level(
+    expansion: dict, a: int, node_budget: int, table: dict, memo: dict
+) -> dict[tuple, int]:
+    """``expansion`` with the arc (a, 2k) inserted into each of its cups.
+
+    ``expansion`` maps cups of k - 1 arcs to multiplicities; each insertion
+    is read from ``table`` or made by ``insert_arc``.  Raises
+    ``SizeLimitError`` when the result's resolution tree, 2 * (sum of
+    multiplicities) - 1 nodes, exceeds ``node_budget``.
+    """
+    level: dict[tuple, int] = {}
+    for cup, mult in expansion.items():
+        sinks = table.get((cup, a))
+        if sinks is None:
+            sinks = insert_arc(cup, a, node_budget, table, memo)
+        for sink, k in sinks:
+            level[sink] = level.get(sink, 0) + mult * k
+    if 2 * sum(level.values()) - 1 > node_budget:
+        raise SizeLimitError("resolution exceeded its node budget")
+    return level
+
+
+def _peel(arcs: tuple) -> list[int]:
+    """Left ends a_1, ..., a_n: (a_k, 2k) is the last arc of the first k."""
+    lefts = []
+    rest = list(arcs)
+    while rest:
+        last = max(rest, key=lambda arc: arc[1])
+        rest.remove(last)
+        a = last[0]
+        rest = [(x - (x > a), y - (y > a)) for x, y in rest]
+        lefts.append(a)
+    return lefts[::-1]
+
+
 def resolve_full(
     m: Matching, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> dict[CupDiagram, int]:
@@ -208,9 +269,18 @@ def resolve_full(
     Raises ``SizeLimitError`` when the resolution tree has more than
     ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1.  The
     tree size, like the sinks, is the same for every resolution strategy.
+    Each insertion level sums to at most the final count, so the budget is
+    checked after every level, whatever the session table already holds.
     """
-    sinks, _ = resolve_arcs(m.arcs, node_budget)
-    return {CupDiagram(arcs): mult for arcs, mult in sinks}
+    if node_budget < 1:  # every tree has its root
+        raise SizeLimitError("resolution exceeded its node budget")
+    memo: dict = {}
+    expansion: dict[tuple, int] = {(): 1}
+    for a in _peel(m.arcs):
+        expansion = insert_level(expansion, a, node_budget, _INSERTED, memo)
+    # A kernel sink has no crossing, and lifting and smoothing keep the dots
+    # a permutation, so the keys are built without validation.
+    return {CupDiagram._trusted(arcs): mult for arcs, mult in sorted(expansion.items())}
 
 
 def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
@@ -267,7 +337,7 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
                 f"cup ({b},{b_next}) did not isolate"
             )
         active -= {b, b_next}
-    if cur != Matching(target.arcs):
+    if cur.arcs != target.arcs:
         raise RuntimeError("witness script did not end at the target diagram")
     return moves
 

@@ -24,8 +24,7 @@ from operator import and_
 
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
-from .errors import SizeLimitError
-from .resolution import DEFAULT_NODE_BUDGET, resolve_arcs
+from .resolution import DEFAULT_NODE_BUDGET, insert_level
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
@@ -116,19 +115,8 @@ def transition_matrix(n: int) -> TransitionMatrix:
         level = {}
         for top, prev in columns.items():
             for a in range(top[-1] + 1 if top else 1, 2 * k):
-                col: dict[tuple, int] = {}
-                for cup, mult in prev.items():
-                    sinks = inserted.get((cup, a))
-                    if sinks is None:
-                        lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
-                        arcs = tuple(sorted(lifted + [(a, 2 * k)]))
-                        sinks, _ = resolve_arcs(arcs, DEFAULT_NODE_BUDGET, memo)
-                        inserted[cup, a] = sinks
-                    for sink, m in sinks:
-                        col[sink] = col.get(sink, 0) + mult * m
-                if 2 * sum(col.values()) - 1 > DEFAULT_NODE_BUDGET:
-                    raise SizeLimitError("resolution exceeded its node budget")
-                level[top + (a,)] = col
+                level[top + (a,)] = insert_level(
+                    prev, a, DEFAULT_NODE_BUDGET, inserted, memo)
         columns = level
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     size = len(index)

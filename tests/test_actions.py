@@ -236,6 +236,23 @@ class TestStraightening:
         got = sign * garnir_straighten(tab)
         assert got == -1 * TabloidVector.unit(BASE_TWO)
 
+    def test_keys_equal_validated_constructions(self):
+        rng = random.Random(8)
+        inputs = [random_filling(rng, rng.randint(1, 6)) for _ in range(60)]
+        # BASE_TWO cancels out of the straightened sum and must be dropped
+        inputs.append(TabloidVector.unit(TwoRowTableau(((1, 4), (2, 3))))
+                      + TabloidVector.unit(BASE_TWO))
+        for x in inputs:
+            got = garnir_straighten(x)
+            assert type(got) is TabloidVector
+            assert got == TabloidVector(got.n, dict(got.terms))
+            assert all(got.terms.values())
+            for key in got.terms:
+                assert type(key) is TwoRowTableau
+                assert key == TwoRowTableau(key.columns) and key.is_standard()
+                assert all(type(e) is int for col in key.columns for e in col)
+        assert got == TabloidVector.unit(FLAT_TWO)
+
     def test_output_keys_standard(self):
         for cols in all_pairings(range(1, 7)):
             for key in garnir_straighten(TwoRowTableau(cols)).terms:

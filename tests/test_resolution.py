@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import strategies as st
 
 from cupweb import (
     Crossing,
+    CupDiagram,
     DominanceError,
     Matching,
     Move,
@@ -30,7 +33,13 @@ from cupweb import (
     witness_path,
 )
 import cupweb.resolution as resolution_module
-from _oracles import random_matching_arcs
+from cupweb.resolution import DEFAULT_NODE_BUDGET, resolve_arcs, sinks_to_json
+from _oracles import (
+    all_pairings,
+    brute_crossing_pairs,
+    brute_resolve,
+    random_matching_arcs,
+)
 
 S_FIVE = StandardTableau((1, 3, 4, 6, 9), (2, 5, 7, 8, 10))
 T_FIVE = StandardTableau((1, 2, 4, 5, 7), (3, 6, 8, 9, 10))
@@ -63,6 +72,17 @@ class TestResolveStep:
     def test_rejects_foreign_crossing(self):
         with pytest.raises(ValueError):
             resolve_step(THREE_COLUMN, Crossing((1, 4), (2, 6)), MoveKind.VV)
+
+    def test_rejects_non_int_dots(self):
+        # True == 1 and 1.0 == 1 pass the membership test; the step must
+        # still refuse them, or they would become dots of its result.
+        m = Matching([(1, 3), (2, 4)])
+        for left in ((True, 3), (1.0, 3)):
+            with pytest.raises(ValueError):
+                resolve_step(m, Crossing(left, (2, 4)), MoveKind.VV)
+        script = [Move(Crossing((True, 3), (2, 4)), MoveKind.VV)]
+        flat = StandardTableau((1, 2), (3, 4))
+        assert not check_witness(flat, t0(2), script)
 
     @given(matchings(), st.sampled_from([MoveKind.VV, MoveKind.NESTED]))
     def test_conserves_dots_and_reduces_crossings(self, m, kind):
@@ -121,8 +141,8 @@ class TestResolveFull:
 
     def test_bool_dots_leave_no_trace(self):
         # True == 1 with the same hash, so an accepted True dot would put
-        # its sinks in the memo under the valid matching's arcs.
-        resolution_module._FIRST_CACHE.clear()
+        # its sinks in the session table under the valid matching's arcs.
+        resolution_module._INSERTED.clear()
         with pytest.raises(ValueError):
             resolve_full(Matching([(True, 3), (2, 4)]))
         sinks = resolve_full(Matching([(1, 3), (2, 4)]))
@@ -159,13 +179,13 @@ class TestResolveFull:
 
     def test_node_budget_counts_tree_nodes(self):
         # 16 sinks with multiplicity, so every strategy's tree has 31 nodes;
-        # the outcome must not depend on what the memo already holds.
+        # the outcome must not depend on what the session table already holds.
         m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
-        memo = resolution_module._FIRST_CACHE
-        memo.clear()
+        table = resolution_module._INSERTED
+        table.clear()
         with pytest.raises(SizeLimitError):
             resolve_full(m, node_budget=30)  # cold
-        memo.clear()
+        table.clear()
         assert sum(resolve_full(m, node_budget=31).values()) == 16  # cold
         assert sum(resolve_full(m, node_budget=31).values()) == 16  # warm
         with pytest.raises(SizeLimitError):
@@ -177,7 +197,7 @@ class TestResolveFull:
             assert len(graph.nodes) == 31
 
         def warm_through_matrix(n):
-            memo.clear()
+            table.clear()
             transition_matrix.cache_clear()
             transition_matrix(n)  # builds on a memo of its own
 
@@ -185,12 +205,12 @@ class TestResolveFull:
         for _ in range(12):
             n = rng.randint(1, 5)
             m = Matching(random_matching_arcs(rng, 2 * n))
-            memo.clear()
+            table.clear()
             sinks = resolve_full(m)
             size = len(build_resolution_graph(m).nodes)
             assert size == 2 * sum(sinks.values()) - 1
-            # a cold memo, one warm with m itself, one warmed by the matrix
-            warmups = (memo.clear, lambda: None, lambda: warm_through_matrix(n))
+            # a cold table, one warm with m itself, one warmed by the matrix
+            warmups = (table.clear, lambda: None, lambda: warm_through_matrix(n))
             for prepare in warmups:
                 prepare()
                 with pytest.raises(SizeLimitError):
@@ -267,6 +287,21 @@ class TestWitnessPath:
             assert move.crossing in crossings(cur)
             cur = resolve_step(cur, move.crossing, move.kind)
 
+    def test_steps_equal_validated_matchings(self):
+        rng = random.Random(3)
+        tableaux = enumerate_syt(6)
+        for _ in range(40):
+            t, s = rng.choice(tableaux), rng.choice(tableaux)
+            if not first_row_dominates(s, t):
+                continue
+            cur = column_matching(t.columns())
+            for move in witness_path(t, s):
+                cur = resolve_step(cur, move.crossing, move.kind)
+                assert type(cur) is Matching
+                assert cur.arcs == Matching(cur.arcs).arcs
+                assert all(type(d) is int for arc in cur.arcs for d in arc)
+            assert cur == cup_of_tableau(s)
+
 
 class TestCheckWitness:
     def test_walkthrough_script_passes(self):
@@ -305,3 +340,85 @@ class TestConfluence:
                 script = tuple(rng.randrange(10) for _ in range(5))
                 tree = build_resolution_graph(m, script)
                 assert tree.sink_multiset() == baseline
+
+
+def _all_matchings(max_n):
+    for n in range(1, max_n + 1):
+        for arcs in all_pairings(list(range(1, 2 * n + 1))):
+            yield Matching(arcs)
+
+
+def _assert_trusted_keys(sinks):
+    """What validating each key used to check, asserted directly."""
+    assert list(sinks) == sorted(sinks, key=lambda w: w.arcs)
+    for w in sinks:
+        assert type(w) is CupDiagram
+        assert all(type(d) is int for arc in w.arcs for d in arc)
+        assert not brute_crossing_pairs(w.arcs)
+        assert w.arcs == CupDiagram(w.arcs).arcs
+
+
+class TestInsertionResolution:
+    def test_equals_brute_force(self):
+        cases = list(_all_matchings(5))
+        rng = random.Random(11)
+        cases += [Matching(random_matching_arcs(rng, 2 * n))
+                  for n in (6, 7) for _ in range(100)]
+        for m in cases:
+            sinks = resolve_full(m)
+            assert {w.arcs: k for w, k in sinks.items()} == brute_resolve(m.arcs)
+            _assert_trusted_keys(sinks)
+
+    def test_equals_kernel_on_a_fresh_memo_n8(self):
+        rng = random.Random(12)
+        for _ in range(50):
+            m = Matching(random_matching_arcs(rng, 16))
+            sinks = resolve_full(m)
+            expected, size = resolve_arcs(m.arcs, DEFAULT_NODE_BUDGET, {})
+            assert tuple((w.arcs, k) for w, k in sinks.items()) == expected
+            assert size == 2 * sum(sinks.values()) - 1
+            _assert_trusted_keys(sinks)
+
+    def test_empty_matching(self):
+        assert resolve_full(Matching([])) == {CupDiagram([]): 1}
+        with pytest.raises(SizeLimitError):
+            resolve_full(Matching([]), node_budget=0)
+
+    def test_session_table_is_bounded_by_n(self):
+        table = resolution_module._INSERTED
+        table.clear()
+        for m in _all_matchings(5):
+            resolve_full(m)
+        # C_{k-1} cups of k - 1 arcs times 2k - 1 positions, for k <= 5
+        assert len(table) <= 1 + 3 + 10 + 35 + 126
+        before = dict(table)
+        for m in _all_matchings(5):
+            resolve_full(m)
+        assert table == before
+
+    def test_budget_trips_alike_on_a_cold_and_a_warm_table(self):
+        m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
+        table = resolution_module._INSERTED
+
+        def warm():
+            for w in _all_matchings(4):
+                resolve_full(w)
+
+        for prepare in (table.clear, warm):
+            prepare()
+            with pytest.raises(SizeLimitError,
+                               match="resolution exceeded its node budget"):
+                resolve_full(m, node_budget=30)
+            prepare()
+            assert sum(resolve_full(m, node_budget=31).values()) == 16
+
+    def test_sinks_digest_n8(self):
+        rng = random.Random(8)
+        payload = [
+            sinks_to_json(16, resolve_full(Matching(random_matching_arcs(rng, 16))))
+            for _ in range(20)
+        ]
+        text = json.dumps(payload)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "50e68aaa7314de540b50d683de981646be55bee00c3d7c76d3f4a5820ce16007"
+        )

@@ -108,12 +108,12 @@ class TestMatrix:
         assert transition_matrix(6).size == 132
 
     def test_build_leaves_the_session_cache_alone(self):
-        resolution_module._FIRST_CACHE.clear()
+        resolution_module._INSERTED.clear()
         resolve_full(Matching([(1, 5), (2, 6), (3, 7), (4, 8)]))
-        before = dict(resolution_module._FIRST_CACHE)
+        before = dict(resolution_module._INSERTED)
         transition_matrix.cache_clear()
         transition_matrix(6)
-        assert resolution_module._FIRST_CACHE == before
+        assert resolution_module._INSERTED == before
 
 
 class TestUnitriangular:
