@@ -226,7 +226,9 @@ def cmd_render(args) -> int:
     if isinstance(obj, dict) and "tableau_graph" in obj:
         if args.format != "dot":
             raise ValueError("tableau graphs render as dot")
-        n = int(obj["tableau_graph"])
+        n = obj["tableau_graph"]
+        if type(n) is not int:  # not isinstance: True is an int
+            raise ValueError(f"tableau_graph size {json.dumps(n)} is not an integer")
         if n < 1:
             raise ValueError("tableau_graph size must be positive")
         _emit(args, tableau_graph_dot(build_tableau_graph(n)))

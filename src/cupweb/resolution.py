@@ -13,7 +13,13 @@ expansion terminates.
 gives left ends a_1, ..., a_n; re-inserting (a_k, 2k) into every cup of
 the expansion so far, cup lifted over a_k, rebuilds the matching.  Since
 resolution is linear, each insertion is resolved on its own, and the
-session keeps the result per (cup, a): a table bounded by n alone.
+session keeps the result per (cup, a): a table bounded by n alone.  In the
+lifted cup the arcs crossing (a, 2k) are those covering a, a nested chain.
+Smoothing against the innermost, (x, y), leaves a last arc (y, 2k) or
+(x, 2k) over a cup: one more insertion, with one crossing fewer, until
+none is left.  Later smoothings never touch (x, a) or (a, y), so the two
+branches share no sink; an insertion crossing c arcs has 2^c distinct
+sinks, and each coefficient counts the branch paths ending at its cup.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -31,8 +37,10 @@ of S appears as a leaf for the column matching of T.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Sequence, Union
 
 from .diagrams import (
@@ -40,7 +48,6 @@ from .diagrams import (
     Crossing,
     Matching,
     column_matching,
-    crossing_pairs,
     crossings,
     cup_of_tableau,
 )
@@ -82,22 +89,17 @@ class Move:
 Strategy = Union[str, Sequence[int], Callable[[Matching, list[Crossing]], Crossing]]
 
 
-def _smooth(arcs: tuple, left: tuple, right: tuple, kind: MoveKind) -> tuple:
-    # Trusted: left = (a, c) and right = (b, d) cross, a < b < c < d, in arcs.
-    (a, c), (b, d) = left, right
-    rest = [arc for arc in arcs if arc != left and arc != right]
-    rest += [(a, b), (c, d)] if kind is MoveKind.VV else [(a, d), (b, c)]
-    return tuple(sorted(rest))
-
-
 def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     """Replace the two arcs of ``crossing`` by the chosen smoothing."""
-    dots = crossing.left + crossing.right
-    if not ({crossing.left, crossing.right} <= set(m.arcs)
-            and all(type(d) is int for d in dots)):
+    left, right = crossing.left, crossing.right
+    if not ({left, right} <= set(m.arcs)
+            and all(type(d) is int for d in left + right)):
         raise ValueError(f"{crossing} is not a crossing of {m!r}")
+    (a, c), (b, d) = left, right
+    rest = [arc for arc in m.arcs if arc != left and arc != right]
+    rest += [(a, b), (c, d)] if kind is MoveKind.VV else [(a, d), (b, c)]
     # Two crossing arcs of m, smoothed: the same dots, so a valid matching.
-    return Matching._trusted(_smooth(m.arcs, crossing.left, crossing.right, kind))
+    return Matching._trusted(tuple(sorted(rest)))
 
 
 def _pick(strategy: Strategy, m: Matching, found: list[Crossing],
@@ -180,85 +182,76 @@ def build_resolution_graph(
 _INSERTED: dict[tuple[tuple, int], tuple] = {}
 
 
-def resolve_arcs(arcs: tuple, node_budget: int, memo: dict) -> tuple[tuple, int]:
-    """Sorted (sink arcs, multiplicity) pairs and the tree size of ``arcs``.
-
-    Resolves the leftmost crossing first; trusts ``arcs`` to be canonical.
-    Entries are read from and stored in ``memo``, keyed on arc tuples.
-    """
-    # Cached and fresh subtrees are charged their full tree size, so the
-    # budget trips on the same inputs whatever the memo holds.
-    entry = memo.get(arcs)
-    if entry is None:
-        first = next(crossing_pairs(arcs), None)
-        if first is None:
-            entry = (((arcs, 1),), 1)
-        else:
-            counts: dict[tuple, int] = {}
-            size = 1
-            for kind in (MoveKind.VV, MoveKind.NESTED):
-                child = _smooth(arcs, *first, kind)
-                sinks, child_size = resolve_arcs(child, node_budget - size, memo)
-                size += child_size
-                for sink, mult in sinks:
-                    counts[sink] = counts.get(sink, 0) + mult
-            entry = (tuple(sorted(counts.items())), size)
-        memo[arcs] = entry
-    if entry[1] > node_budget:
-        raise SizeLimitError("resolution exceeded its node budget")
-    return entry
-
-
-def insert_arc(
-    cup: tuple, a: int, node_budget: int, table: dict, memo: dict
-) -> tuple:
+def insert_arc(cup: tuple, a: int, node_budget: int, table: dict) -> tuple:
     """Sinks of ``cup`` lifted over ``a`` plus the arc (a, 2k), stored in ``table``.
 
     ``cup`` is a canonical cup diagram of k - 1 arcs and 1 <= a < 2k;
     lifting raises every dot >= a by one.  The result, keyed ``(cup, a)``,
-    is ``resolve_arcs``'s sink pairs, resolved on ``memo`` under
-    ``node_budget``.
+    is a tuple of distinct sink arc tuples; the two insertions it branches
+    into are read from or stored in ``table`` too.  Raises ``SizeLimitError``
+    when its tree, 2 * (number of sinks) - 1 nodes, exceeds ``node_budget``.
     """
-    lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
-    arcs = tuple(sorted(lifted + [(a, 2 * len(cup) + 2)]))
-    sinks, _ = resolve_arcs(arcs, node_budget, memo)
+    # Lifted, the arc (x, y) of ``cup`` covers a when x < a <= y.
+    cover = max((arc for arc in cup if arc[0] < a <= arc[1]), default=None)
+    if cover is None:
+        lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
+        sinks = (tuple(sorted(lifted + [(a, 2 * len(cup) + 2)])),)
+    else:
+        # Each child is a cup lowered over the left end of its last arc.  VV
+        # keeps (x, a) and ends in (y + 1, 2k): the arcs in [a, y) move up.
+        # Nested keeps (a - 1, y) and ends in (x, 2k): those in (x, a) move down.
+        x, y = cover
+        vv = tuple((x, a) if p == x else (p + 1, q + 1) if a <= p < y else (p, q)
+                   for p, q in cup)
+        nested = tuple(sorted(
+            (a - 1, y) if p == x else (p - 1, q - 1) if x < p < a else (p, q)
+            for p, q in cup))
+        sinks = ()
+        for key in ((vv, y + 1), (nested, x)):
+            sinks += table.get(key) or insert_arc(*key, node_budget, table)
     table[cup, a] = sinks
+    if 2 * len(sinks) - 1 > node_budget:
+        raise SizeLimitError("resolution exceeded its node budget")
     return sinks
 
 
 def insert_level(
-    expansion: dict, a: int, node_budget: int, table: dict, memo: dict
+    expansion: dict, a: int, node_budget: int, table: dict
 ) -> dict[tuple, int]:
     """``expansion`` with the arc (a, 2k) inserted into each of its cups.
 
     ``expansion`` maps cups of k - 1 arcs to multiplicities; each insertion
     is read from ``table`` or made by ``insert_arc``.  Raises
-    ``SizeLimitError`` when the result's resolution tree, 2 * (sum of
-    multiplicities) - 1 nodes, exceeds ``node_budget``.
+    ``SizeLimitError`` as soon as the cups inserted so far give a tree,
+    2 * (sum of multiplicities) - 1 nodes, larger than ``node_budget``.
     """
     level: dict[tuple, int] = {}
+    total = 0
     for cup, mult in expansion.items():
         sinks = table.get((cup, a))
         if sinks is None:
-            sinks = insert_arc(cup, a, node_budget, table, memo)
-        for sink, k in sinks:
-            level[sink] = level.get(sink, 0) + mult * k
-    if 2 * sum(level.values()) - 1 > node_budget:
-        raise SizeLimitError("resolution exceeded its node budget")
+            sinks = insert_arc(cup, a, node_budget, table)
+        for sink in sinks:
+            level[sink] = level.get(sink, 0) + mult
+        total += mult * len(sinks)
+        if 2 * total - 1 > node_budget:
+            raise SizeLimitError("resolution exceeded its node budget")
     return level
 
 
 def _peel(arcs: tuple) -> list[int]:
-    """Left ends a_1, ..., a_n: (a_k, 2k) is the last arc of the first k."""
+    """Left ends a_1, ..., a_n: (a_k, 2k) is the last arc of the first k.
+
+    Taking arcs by right end, a_k is 1 plus the number of dots of earlier
+    arcs left of x_k; y_k is right of all of them.
+    """
+    dots: list[int] = []
     lefts = []
-    rest = list(arcs)
-    while rest:
-        last = max(rest, key=lambda arc: arc[1])
-        rest.remove(last)
-        a = last[0]
-        rest = [(x - (x > a), y - (y > a)) for x, y in rest]
-        lefts.append(a)
-    return lefts[::-1]
+    for x, y in sorted(arcs, key=itemgetter(1)):
+        lefts.append(bisect_left(dots, x) + 1)
+        insort(dots, x)
+        dots.append(y)
+    return lefts
 
 
 def resolve_full(
@@ -269,15 +262,15 @@ def resolve_full(
     Raises ``SizeLimitError`` when the resolution tree has more than
     ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1.  The
     tree size, like the sinks, is the same for every resolution strategy.
-    Each insertion level sums to at most the final count, so the budget is
-    checked after every level, whatever the session table already holds.
+    Every insertion, and every partial sum of a level, is at most the final
+    count, so the budget is checked after each one, whatever the session
+    table already holds.
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
-    memo: dict = {}
     expansion: dict[tuple, int] = {(): 1}
     for a in _peel(m.arcs):
-        expansion = insert_level(expansion, a, node_budget, _INSERTED, memo)
+        expansion = insert_level(expansion, a, node_budget, _INSERTED)
     # A kernel sink has no crossing, and lifting and smoothing keep the dots
     # a permutation, so the keys are built without validation.
     return {CupDiagram._trusted(arcs): mult for arcs, mult in sorted(expansion.items())}

@@ -102,13 +102,12 @@ def transition_matrix(n: int) -> TransitionMatrix:
 
     Column T of M_k is the sum over c' of M_{k-1}[c', T'] * R(c', a), where
     a = ``top[-1]``, T' has top row ``top[:-1]``, and R(c', a) resolves c'
-    lifted over a (entries >= a raised by one) plus the arc (a, 2k).  R and
-    the resolution under it are memoised for this build only.  A column
+    lifted over a (entries >= a raised by one) plus the arc (a, 2k).  R, and
+    the insertions it branches into, are kept for this build only.  A column
     whose resolution tree, 2 * (column sum) - 1 nodes, exceeds
     ``DEFAULT_NODE_BUDGET`` raises ``SizeLimitError``.
     """
     index = enumerate_syt(n, max_n=n)
-    memo: dict = {}
     inserted: dict[tuple, tuple] = {}  # (c', a) -> sinks of R(c', a)
     columns: dict[tuple, dict] = {(): {(): 1}}  # M_0, by top row
     for k in range(1, n + 1):
@@ -116,7 +115,7 @@ def transition_matrix(n: int) -> TransitionMatrix:
         for top, prev in columns.items():
             for a in range(top[-1] + 1 if top else 1, 2 * k):
                 level[top + (a,)] = insert_level(
-                    prev, a, DEFAULT_NODE_BUDGET, inserted, memo)
+                    prev, a, DEFAULT_NODE_BUDGET, inserted)
         columns = level
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     size = len(index)

@@ -2,7 +2,8 @@
 
 These stay independent of the package code paths they check: tableaux are
 generated by filtering raw permutations, crossings by scanning all arc
-pairs, resolutions by a memo-free recursion, and polytabloids are expanded
+pairs, resolutions by a cache-free recursion, insertion left ends by
+removing and lowering arcs one at a time, and polytabloids are expanded
 over row tabloids directly from the signed-column-flip definition, and
 inverses by dense back-substitution.  Ranks are checked against the
 inversion count of the permutation that carries ``t0`` to a tableau.
@@ -43,8 +44,9 @@ def brute_resolve(arcs):
     """Sink multiset of a matching: sorted arc tuple -> multiplicity.
 
     Always resolves the rightmost crossing pair, the last one in (left arc,
-    right arc) order, and keeps no memo; the package resolves the leftmost
-    one through a memo, and the sinks must not depend on the choice.
+    right arc) order, and keeps no cache; the package inserts one arc at a
+    time and smooths it against the innermost arc it crosses, and the sinks
+    must not depend on the choice.
     """
     arcs = tuple(sorted(tuple(sorted(arc)) for arc in arcs))
     found = brute_crossing_pairs(arcs)
@@ -57,6 +59,19 @@ def brute_resolve(arcs):
         for sink, mult in brute_resolve(rest + list(smoothing)).items():
             out[sink] = out.get(sink, 0) + mult
     return out
+
+
+def peel_by_lowering(arcs):
+    """Left ends a_1, ..., a_n: remove the arc at the last dot, lower, repeat."""
+    lefts = []
+    rest = list(arcs)
+    while rest:
+        last = max(rest, key=lambda arc: arc[1])
+        rest.remove(last)
+        a = last[0]
+        rest = [(x - (x > a), y - (y > a)) for x, y in rest]
+        lefts.append(a)
+    return lefts[::-1]
 
 
 def dense_inverse(entries):

@@ -293,9 +293,13 @@ class TestMalformedShapes:
             ["witness", '{"top": [true, 2], "bottom": [3, 4]}',
              '{"top": [1, 2], "bottom": [3, 4]}'],
             ["render", '{"arcs": [[1.0, 2], [3, 4]]}'],
+            ["render", '{"tableau_graph": true}', "--format", "dot"],
+            ["render", '{"tableau_graph": 2.7}', "--format", "dot"],
+            ["render", '{"tableau_graph": "2"}', "--format", "dot"],
         ],
         ids=["int-arcs", "str-dot", "null-arcs", "list-root", "int-rows", "list-size",
-             "bool-dot", "bool-top", "float-dot"],
+             "bool-dot", "bool-top", "float-dot", "bool-size", "float-size",
+             "str-size"],
     )
     def test_exit_2_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)

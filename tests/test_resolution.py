@@ -33,11 +33,12 @@ from cupweb import (
     witness_path,
 )
 import cupweb.resolution as resolution_module
-from cupweb.resolution import DEFAULT_NODE_BUDGET, resolve_arcs, sinks_to_json
+from cupweb.resolution import DEFAULT_NODE_BUDGET, _peel, insert_arc, sinks_to_json
 from _oracles import (
     all_pairings,
     brute_crossing_pairs,
     brute_resolve,
+    peel_by_lowering,
     random_matching_arcs,
 )
 
@@ -199,7 +200,7 @@ class TestResolveFull:
         def warm_through_matrix(n):
             table.clear()
             transition_matrix.cache_clear()
-            transition_matrix(n)  # builds on a memo of its own
+            transition_matrix(n)  # builds on a table of its own
 
         rng = random.Random(17)
         for _ in range(12):
@@ -374,9 +375,7 @@ class TestInsertionResolution:
         for _ in range(50):
             m = Matching(random_matching_arcs(rng, 16))
             sinks = resolve_full(m)
-            expected, size = resolve_arcs(m.arcs, DEFAULT_NODE_BUDGET, {})
-            assert tuple((w.arcs, k) for w, k in sinks.items()) == expected
-            assert size == 2 * sum(sinks.values()) - 1
+            assert {w.arcs: k for w, k in sinks.items()} == brute_resolve(m.arcs)
             _assert_trusted_keys(sinks)
 
     def test_empty_matching(self):
@@ -395,6 +394,49 @@ class TestInsertionResolution:
         for m in _all_matchings(5):
             resolve_full(m)
         assert table == before
+        # the insertions that insertions branch into stay within the bound
+        table.clear()
+        for arcs in all_pairings(range(1, 13)):
+            resolve_full(Matching(arcs))
+        assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
+
+    def test_insertion_equals_brute_force(self):
+        for k in range(1, 7):
+            for cup in all_pairings(range(1, 2 * k - 1)):
+                if brute_crossing_pairs(cup):
+                    continue
+                for a in range(1, 2 * k):
+                    sinks = insert_arc(cup, a, DEFAULT_NODE_BUDGET, {})
+                    lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
+                    expected = brute_resolve(lifted + [(a, 2 * k)])
+                    assert dict.fromkeys(sinks, 1) == expected
+                    # distinct sinks, 2^c of them for c arcs crossing (a, 2k)
+                    covering = sum(x < a <= y for x, y in cup)
+                    assert len(sinks) == len(expected) == 2 ** covering
+
+    def test_insertion_budget_counts_its_own_tree(self):
+        cup = ((1, 6), (2, 5), (3, 4))  # a = 4 lies under all three arcs
+        with pytest.raises(SizeLimitError):
+            insert_arc(cup, 4, 14, {})
+        assert len(insert_arc(cup, 4, 15, {})) == 8
+
+    def test_level_budget_trips_before_the_next_cup(self):
+        nested, flat = ((1, 4), (2, 3)), ((1, 2), (3, 4))
+        table: dict = {}
+        # 4 sinks of multiplicity 2 already make a tree of 15 nodes
+        with pytest.raises(SizeLimitError):
+            resolution_module.insert_level({nested: 2, flat: 1}, 3, 14, table)
+        assert (nested, 3) in table and (flat, 3) not in table
+
+    def test_peel_equals_lowering_loop(self):
+        cases = [arcs for n in range(7)
+                 for arcs in all_pairings(range(1, 2 * n + 1))]
+        rng = random.Random(9)
+        cases += [tuple(sorted(tuple(sorted(arc))
+                               for arc in random_matching_arcs(rng, 16)))
+                  for _ in range(200)]
+        for arcs in cases:
+            assert _peel(arcs) == peel_by_lowering(arcs)
 
     def test_budget_trips_alike_on_a_cold_and_a_warm_table(self):
         m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
