@@ -56,11 +56,14 @@ def _positive(text: str) -> int:
 
 
 def _load_json_arg(text: str):
-    if text == "-":
-        return json.load(sys.stdin)
-    if text.startswith("@"):
-        return json.loads(Path(text[1:]).read_text())
-    return json.loads(text)
+    try:
+        if text == "-":
+            return json.load(sys.stdin)
+        if text.startswith("@"):
+            return json.loads(Path(text[1:]).read_text())
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON input is nested too deeply") from None
 
 
 def _parse_strategy(text: str):

@@ -143,26 +143,18 @@ def _rank(tableau: StandardTableau) -> int:
 def enumerate_syt(n: int) -> tuple[StandardTableau, ...]:
     """All standard tableaux of shape (n, n), in the canonical order.
 
+    A row a_1 < ... < a_n is the top of one, the bottom row its complement,
+    exactly when every a_k <= 2k - 1, so the rows grow one entry per level.
     The order sorts by rank (graph distance from ``t0``, which is n**2
     minus the top-row sum) and breaks ties by the lexicographic top row.
     The count is the n-th Catalan number.
     """
-    tableaux: list[StandardTableau] = []
-
-    def grow(top: list[int], bottom: list[int], nxt: int) -> None:
-        if nxt > 2 * n:
-            tableaux.append(StandardTableau(tuple(top), tuple(bottom)))
-            return
-        if len(top) < n:
-            top.append(nxt)
-            grow(top, bottom, nxt + 1)
-            top.pop()
-        if len(bottom) < len(top):
-            bottom.append(nxt)
-            grow(top, bottom, nxt + 1)
-            bottom.pop()
-
-    grow([], [], 1)
+    tops = [()]
+    for k in range(1, n + 1):
+        tops = [top + (a,) for top in tops for a in range(top[-1] + 1 if top else 1, 2 * k)]
+    entries = range(1, 2 * n + 1)
+    tableaux = [StandardTableau(top, tuple(x for x in entries if x not in top))
+                for top in tops]
     tableaux.sort(key=lambda s: (_rank(s), s.top))
     return tuple(tableaux)
 
@@ -227,12 +219,14 @@ class TableauGraph:
 def build_tableau_graph(n: int) -> TableauGraph:
     """Construct the tableau graph on ``enumerate_syt(n)``."""
     vertices = enumerate_syt(n, max_n=n)
-    position = {v: k for k, v in enumerate(vertices)}
+    position = {v.top: k for k, v in enumerate(vertices)}
     edges = []
     for src, tab in enumerate(vertices):
-        for i in range(1, 2 * n):
-            if classify(tab, i) is EntryCase.BELOW:
-                edges.append((src, position[swap_entries(tab, i)], i))
+        top = tab.top
+        for j in range(1, n):
+            i = top[j] - 1  # in the bottom row unless it is top[j - 1]
+            if top[j - 1] < i:
+                edges.append((src, position[top[:j] + (i,) + top[j + 1:]], i))
     return TableauGraph(n, vertices, tuple(edges))
 
 
@@ -258,9 +252,13 @@ def paths_between(graph: TableauGraph, src: StandardTableau,
                   ) -> list[list[int]]:
     """Edge-label sequences of directed paths src -> dst, in DFS order.
 
-    Stops after ``limit`` paths when given.  Labels are listed in the
-    order the edges are traversed.
+    Stops after ``limit`` paths when given; a negative limit raises
+    ``ValueError``.  Labels are listed in the order the edges are traversed.
     """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit == 0:
+        return []
     start, goal = graph.position(src), graph.position(dst)
     out_edges: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
     for a, b, i in graph.edges:

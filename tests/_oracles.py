@@ -1,12 +1,13 @@
 """Brute-force reference implementations used only by the tests.
 
 These stay independent of the package code paths they check: tableaux are
-generated by filtering raw permutations, crossings by scanning all arc
-pairs, resolutions by a cache-free recursion, insertion left ends by
-removing and lowering arcs one at a time, and polytabloids are expanded
-over row tabloids directly from the signed-column-flip definition, and
-inverses by dense back-substitution.  Ranks are checked against the
-inversion count of the permutation that carries ``t0`` to a tableau.
+generated by filtering raw permutations or by growing both rows one entry
+at a time, crossings by scanning all arc pairs, resolutions by a
+cache-free recursion, insertion left ends by removing and lowering arcs
+one at a time, and polytabloids are expanded over row tabloids directly
+from the signed-column-flip definition, and inverses by dense
+back-substitution.  Ranks are checked against the inversion count of the
+permutation that carries ``t0`` to a tableau.
 """
 
 from dataclasses import dataclass
@@ -25,6 +26,33 @@ def brute_force_syt(n):
         if rows_ok and cols_ok:
             out.add((top, bottom))
     return out
+
+
+def grow_syt(n):
+    """(top, bottom) of every standard tableau in the canonical order.
+
+    Places 1..2n in turn, each in the top row while it has room, or in the
+    bottom row below a filled box, then sorts by rank n**2 - sum(top) and
+    the top row.
+    """
+    found = []
+
+    def grow(top, bottom, nxt):
+        if nxt > 2 * n:
+            found.append((tuple(top), tuple(bottom)))
+            return
+        if len(top) < n:
+            top.append(nxt)
+            grow(top, bottom, nxt + 1)
+            top.pop()
+        if len(bottom) < len(top):
+            bottom.append(nxt)
+            grow(top, bottom, nxt + 1)
+            bottom.pop()
+
+    grow([], [], 1)
+    found.sort(key=lambda rows: (n * n - sum(rows[0]), rows[0]))
+    return found
 
 
 def brute_crossing_pairs(arcs):

@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -303,6 +304,21 @@ class TestMalformedShapes:
     )
     def test_exit_2_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_deep_nesting(self, capsys, monkeypatch, tmp_path, source):
+        deep = "[" * 100_000  # json raises RecursionError on this
+        if source == "file":
+            path = tmp_path / "deep.json"
+            path.write_text(deep)
+            arg = f"@{path}"
+        else:
+            monkeypatch.setattr(sys, "stdin", io.StringIO(deep))
+            arg = "-"
+        code, out, err = run(capsys, "resolve", arg)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and len(err.splitlines()) == 1

@@ -232,17 +232,50 @@ class TestHandBuiltIndex:
             for s in rng.sample(range(bad.size), 2):  # a few entries in two rows
                 for t in rng.sample(range(bad.size), 3):
                     bad = _corrupt(bad, s, t, rng.choice([-1, 0, 2]))
-            support = positivity = None
-            for s, S in enumerate(bad.index):
-                for t, T in enumerate(bad.index):
-                    entry, comparable = bad.entry(s, t), leq(S, T, graph)
-                    words = f"S={S.row_word()}, T={T.row_word()}, entry={entry}"
-                    if support is None and entry != 0 and not comparable:
-                        support = words
-                    if positivity is None and (entry > 0) != comparable:
-                        positivity = f"{words}, comparable={comparable}"
+            support, positivity = _pairwise_witnesses(bad, graph)
             assert verify_unitriangular(bad).checks[1].witness == support
             assert verify_positivity(bad).checks[0].witness == positivity
+
+    @pytest.mark.parametrize("corruption", [None, "incomparable", "comparable"])
+    def test_index_that_skips_a_top_row_value(self, corruption):
+        # No tableau of this index has top[2] == 4, though 3 and 5 occur.
+        full = transition_matrix(5)
+        keep = [k for k, t in enumerate(full.index) if t.top[2] != 4]
+        matrix = _permuted(full, keep)
+        last = matrix.size - 1
+        if corruption == "incomparable":
+            matrix = _corrupt(matrix, last, 0, 1)
+        elif corruption == "comparable":
+            matrix = _corrupt(matrix, 0, last, 0)
+        support, positivity = _pairwise_witnesses(matrix, build_tableau_graph(5))
+        assert (support is None, positivity is None) == (
+            corruption != "incomparable", corruption is None)
+        unitriangular = verify_unitriangular(matrix)
+        assert [c.witness for c in unitriangular.checks] == [None, support]
+        assert unitriangular.passed == (support is None)
+        assert verify_positivity(matrix).checks[0].witness == positivity
+        assert verify_positivity(matrix).passed == (positivity is None)
+
+    def test_verifiers_build_no_graph(self):
+        build_tableau_graph.cache_clear()
+        matrix = transition_matrix(4)
+        assert verify_unitriangular(matrix).passed
+        assert verify_positivity(matrix).passed
+        assert build_tableau_graph.cache_info().currsize == 0
+
+
+def _pairwise_witnesses(matrix: TransitionMatrix, graph) -> tuple:
+    """First support and positivity violations in row-major order, by ``leq``."""
+    support = positivity = None
+    for s, S in enumerate(matrix.index):
+        for t, T in enumerate(matrix.index):
+            entry, comparable = matrix.entry(s, t), leq(S, T, graph)
+            words = f"S={S.row_word()}, T={T.row_word()}, entry={entry}"
+            if support is None and entry != 0 and not comparable:
+                support = words
+            if positivity is None and (entry > 0) != comparable:
+                positivity = f"{words}, comparable={comparable}"
+    return support, positivity
 
 
 class TestInverse:
@@ -339,6 +372,12 @@ class TestOrderConjecture:
         report = order_conjecture_report(n)
         assert report.passed
         assert all(c.passed for c in report.checks)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_dominance_masks_equal_reachability(self, n):
+        graph = build_tableau_graph(n)
+        masks = transition_module._dominance_masks(graph.vertices)
+        assert masks == list(graph.descendants)
 
     def test_converse_is_informational(self):
         report = order_conjecture_report(3)

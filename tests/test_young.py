@@ -20,6 +20,7 @@ from _oracles import (
     Permutation,
     brute_force_syt,
     coxeter_length,
+    grow_syt,
     perm_between,
 )
 
@@ -65,6 +66,10 @@ class TestEnumeration:
     def test_matches_brute_force(self, n):
         got = {(t.top, t.bottom) for t in enumerate_syt(n)}
         assert got == brute_force_syt(n)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_matches_row_growth_in_order(self, n):
+        assert [(t.top, t.bottom) for t in enumerate_syt(n)] == grow_syt(n)
 
     def test_n4_contains_example(self):
         tableaux = enumerate_syt(4)
@@ -166,6 +171,17 @@ class TestTableauGraph:
         for a, b, _ in graph.edges:
             va, vb = graph.vertices[a], graph.vertices[b]
             assert rank(vb, graph) == rank(va, graph) + 1
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_edges_match_classify_and_swap(self, n):
+        graph = build_tableau_graph(n)
+        expected = tuple(
+            (src, graph.position(swap_entries(tab, i)), i)
+            for src, tab in enumerate(graph.vertices)
+            for i in range(1, 2 * n)
+            if classify(tab, i) is EntryCase.BELOW
+        )
+        assert graph.edges == expected
 
     def test_edge_matches_swap(self):
         graph = build_tableau_graph(4)
@@ -281,6 +297,14 @@ class TestPaths:
         graph = build_tableau_graph(4)
         top = StandardTableau((1, 2, 3, 4), (5, 6, 7, 8))
         assert len(paths_between(graph, t0(4), top, limit=3)) == 3
+
+    def test_limit_zero_and_negative(self):
+        graph = build_tableau_graph(3)
+        target = StandardTableau((1, 2, 4), (3, 5, 6))
+        assert paths_between(graph, t0(3), target, limit=0) == []
+        assert paths_between(graph, t0(3), target, limit=1) == [[2, 4]]
+        with pytest.raises(ValueError):
+            paths_between(graph, t0(3), target, limit=-1)
 
     def test_edge_labels_are_a_path(self):
         graph = build_tableau_graph(4)
