@@ -16,6 +16,7 @@ change in a rewrite; all others are carried along untouched.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -171,6 +172,15 @@ class _SparseVector:
         return f"{type(self).__name__}({bits})"
 
 
+def _coefficient(value) -> int:
+    """A JSON coefficient: a decimal string, or an int that is not a bool."""
+    if type(value) is int:
+        return value
+    if type(value) is str and re.fullmatch(r"[+-]?[0-9]+", value):
+        return int(value)
+    raise ValueError(f"coefficient {value!r} is not an integer")
+
+
 class TabloidVector(_SparseVector):
     """Integer combination of two-row fillings in normal form; ``size`` is n."""
 
@@ -203,7 +213,7 @@ class TabloidVector(_SparseVector):
             key, sign = canonicalize_columns(
                 tuple(zip(rec["top"], rec["bottom"]))
             )
-            terms[key] = terms.get(key, 0) + sign * int(rec["coeff"])
+            terms[key] = terms.get(key, 0) + sign * _coefficient(rec["coeff"])
         return cls(n, terms)
 
 
@@ -237,7 +247,7 @@ class DiagramVector(_SparseVector):
         terms = {}
         for rec in data:
             key = Matching(rec["arcs"])
-            terms[key] = terms.get(key, 0) + int(rec["coeff"])
+            terms[key] = terms.get(key, 0) + _coefficient(rec["coeff"])
         return cls(n2, terms)
 
 

@@ -29,7 +29,6 @@ from .resolution import (
 from .transition import (
     TransitionMatrix,
     inverse_matrix,
-    matrix_to_csv,
     order_conjecture_report,
     transition_matrix,
     verify_positivity,
@@ -140,7 +139,7 @@ def cmd_graph(args) -> int:
 
 def _emit_matrix(args, matrix: TransitionMatrix, title: str) -> int:
     if args.format == "csv":
-        _emit(args, matrix_to_csv(matrix.entries, matrix.index, title))
+        _emit(args, matrix.to_csv(title))
     else:
         _emit(args, json.dumps(matrix.to_json(), indent=2) + "\n")
     return 0
@@ -152,8 +151,7 @@ def cmd_matrix(args) -> int:
 
 
 def cmd_inverse(args) -> int:
-    matrix = transition_matrix(args.n, _effective_max_n(args))
-    inverse = TransitionMatrix(matrix.n, matrix.index, inverse_matrix(matrix))
+    inverse = inverse_matrix(transition_matrix(args.n, _effective_max_n(args)))
     return _emit_matrix(args, inverse, f"inverse transition matrix, n={args.n}")
 
 
@@ -191,12 +189,10 @@ def cmd_witness(args) -> int:
 
 
 def _corrupted(matrix: TransitionMatrix) -> TransitionMatrix:
-    entries = [list(row) for row in matrix.entries]
-    if len(entries) == 1:
-        entries[0][0] = 0
-    else:
-        entries[-1][0] += 1
-    return TransitionMatrix(matrix.n, matrix.index, tuple(tuple(r) for r in entries))
+    # One more at the last row of column 0; at size 1, no diagonal entry.
+    last = matrix.size - 1
+    col = {**matrix.columns[0], last: matrix.entry(last, 0) + 1} if last else {}
+    return TransitionMatrix(matrix.n, matrix.index, (col, *matrix.columns[1:]))
 
 
 def cmd_verify(args) -> int:

@@ -38,26 +38,63 @@ ORDER_DESCRIPTION = "rank, then lexicographic top row"
 
 @dataclass(frozen=True)
 class TransitionMatrix:
-    """Exact integer matrix entry[S][T] over the canonical tableau order."""
+    """Exact integer matrix M[S][T] over the canonical tableau order.
+
+    ``columns[t]`` is ``{s: M[s][t]}`` over the nonzero entries of column t;
+    an absent or stored-0 row is a zero.  Only ``entries`` and the exports
+    build dense rows, afresh on each call.  ``transition_matrix`` caches
+    its result, so the column dicts must not be modified.
+    """
 
     n: int
     index: tuple[StandardTableau, ...]
-    entries: tuple[tuple[int, ...], ...]
+    columns: tuple[dict[int, int], ...]
 
     @property
     def size(self) -> int:
         return len(self.index)
 
     def entry(self, s: int, t: int) -> int:
-        return self.entries[s][t]
+        return self.columns[t].get(s, 0)
+
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """Dense rows; not cached, so the matrix never holds two copies."""
+        return tuple(map(tuple, self._dense_rows(0, int)))
+
+    def _rows(self) -> list[dict[int, int]]:
+        """``{t: entry}`` per row: the stored entries, transposed."""
+        rows = [{} for _ in self.index]
+        for t, col in enumerate(self.columns):
+            for s, e in col.items():
+                rows[s][t] = e
+        return rows
+
+    def _dense_rows(self, zero, cast):
+        """Each row as a list: ``cast(entry)`` where one is stored, else ``zero``."""
+        for row in self._rows():
+            dense = [zero] * self.size
+            for t, e in row.items():
+                dense[t] = cast(e)
+            yield dense
 
     def to_json(self) -> dict:
         return {
             "n": self.n,
             "order": ORDER_DESCRIPTION,
             "index": [t.to_json() for t in self.index],
-            "entries": [list(row) for row in self.entries],
+            "entries": list(self._dense_rows(0, int)),
         }
+
+    def to_csv(self, title: str) -> str:
+        """Comment header (title, order, index row words), then plain integer rows."""
+        lines = [
+            f"# {title}",
+            f"# order: {ORDER_DESCRIPTION}",
+            "# index: " + ", ".join(t.row_word() for t in self.index),
+        ]
+        lines += map(",".join, self._dense_rows("0", str))
+        return "\n".join(lines) + "\n"
 
 
 @dataclass(frozen=True)
@@ -115,12 +152,9 @@ def transition_matrix(n: int) -> TransitionMatrix:
                                        DEFAULT_NODE_BUDGET, inserted)
                    for t in index}
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
-    size = len(index)
-    entries = [[0] * size for _ in range(size)]
-    for col, tab in enumerate(index):
-        for arcs, mult in columns[tab.top].items():
-            entries[row_of[arcs]][col] = mult
-    return TransitionMatrix(n, index, tuple(tuple(row) for row in entries))
+    return TransitionMatrix(n, index, tuple(
+        {row_of[arcs]: mult for arcs, mult in columns.pop(t.top).items()}
+        for t in index))
 
 
 def _first_violation(masks) -> tuple[int, int] | None:
@@ -137,7 +171,7 @@ def _first_violation(masks) -> tuple[int, int] | None:
 
 
 def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
-    return [sum(1 << t for t, e in enumerate(r) if keep(e)) for r in matrix.entries]
+    return [sum(1 << t for t, e in r.items() if keep(e)) for r in matrix._rows()]
 
 
 def _dominance_masks(vertices: tuple[StandardTableau, ...]) -> list[int]:
@@ -191,8 +225,8 @@ def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     return _report(matrix.n, checks, start)
 
 
-def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
-    """Exact inverse of a unitriangular matrix, one sparse column at a time.
+def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
+    """Exact inverse of a unitriangular matrix, over the same index.
 
     From M^-1 M = I with a unit diagonal, column t of M^-1 is e_t minus
     M[k][t] times column k of M^-1, summed over k < t, so each column is
@@ -200,23 +234,19 @@ def inverse_matrix(matrix: TransitionMatrix) -> tuple[tuple[int, ...], ...]:
     M^-1.  A diagonal entry other than 1, or else a nonzero entry below the
     diagonal, raises ``ValueError`` at the first column that has one.
     """
-    size = matrix.size
-    inverse = [[0] * size for _ in range(size)]
-    found: list[list[tuple[int, int]]] = []  # (row, entry) nonzeros per column of M^-1
-    for t, col in enumerate(zip(*matrix.entries)):
-        if col[t] != 1:
+    found: list[dict[int, int]] = []  # the columns of M^-1, nonzeros only
+    for t, col in enumerate(matrix.columns):
+        if col.get(t, 0) != 1:
             raise ValueError("matrix diagonal must be all ones")
-        if any(col[t + 1:]):
+        if any(e for s, e in col.items() if s > t):
             raise ValueError("matrix must be upper-triangular")
         x = {t: 1}
-        for k, e in enumerate(col[:t]):
-            if e:
-                for s, v in found[k]:
+        for k, e in col.items():
+            if e and k != t:
+                for s, v in found[k].items():
                     x[s] = x.get(s, 0) - e * v
-        found.append([(s, v) for s, v in x.items() if v])
-        for s, v in found[t]:
-            inverse[s][t] = v
-    return tuple(tuple(row) for row in inverse)
+        found.append({s: v for s, v in x.items() if v})
+    return TransitionMatrix(matrix.n, matrix.index, tuple(found))
 
 
 def verify_psi(
@@ -224,8 +254,9 @@ def verify_psi(
 ) -> VerificationReport:
     """Straightening each cup diagram gives the matching column of M^-1.
 
-    Every cup is seeded under its own column in one straightening sweep,
-    and the straightened columns are compared with ``inverse_matrix``.
+    Every cup is seeded under its own column in one straightening sweep;
+    each straightened cup, as ``{row: coeff}`` without cancelled terms, is
+    compared with that column of ``inverse_matrix``.
     """
     start = time.perf_counter()
     try:
@@ -234,13 +265,14 @@ def verify_psi(
         witness = f"matrix not invertible over the order: {exc}"
     else:
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
-        psi = [[0] * matrix.size for _ in matrix.index]
+        psi = [{} for _ in matrix.index]
         seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
         for cols, vec in _straighten(seeds, step_budget).items():
+            row = row_of[cols]
             for c, coeff in vec.items():
-                psi[row_of[cols]][c] = coeff
-        columns = zip(zip(*psi), zip(*inverse))
-        bad = next((c for c, (got, want) in enumerate(columns) if got != want), None)
+                if coeff:
+                    psi[c][row] = coeff
+        bad = next((c for c, got in enumerate(psi) if got != inverse.columns[c]), None)
         witness = None if bad is None else f"web of {matrix.index[bad].row_word()}"
     checks = [Check("straightening-matches-inverse", witness is None, witness)]
     return _report(matrix.n, checks, start)
@@ -272,18 +304,3 @@ def order_conjecture_report(n: int, max_n: int = DEFAULT_MAX_N) -> VerificationR
               informational=True),
     ]
     return _report(n, checks, start)
-
-
-def matrix_to_csv(
-    entries: tuple[tuple[int, ...], ...],
-    index: tuple[StandardTableau, ...],
-    title: str,
-) -> str:
-    """Comment header (title, order, index row words), then plain integer rows."""
-    lines = [
-        f"# {title}",
-        f"# order: {ORDER_DESCRIPTION}",
-        "# index: " + ", ".join(t.row_word() for t in index),
-    ]
-    lines += [",".join(str(e) for e in row) for row in entries]
-    return "\n".join(lines) + "\n"

@@ -62,6 +62,14 @@ class StandardTableau:
             if self.top[j] >= self.bottom[j]:
                 raise ValueError(f"column {j + 1} is not increasing")
 
+    @classmethod
+    def _trusted(cls, top: tuple, bottom: tuple) -> "StandardTableau":
+        """A tableau on ``top`` and ``bottom`` as given, without the checks."""
+        tab = object.__new__(cls)
+        object.__setattr__(tab, "top", top)
+        object.__setattr__(tab, "bottom", bottom)
+        return tab
+
     @property
     def n(self) -> int:
         return len(self.top)
@@ -153,8 +161,11 @@ def enumerate_syt(n: int) -> tuple[StandardTableau, ...]:
     for k in range(1, n + 1):
         tops = [top + (a,) for top in tops for a in range(top[-1] + 1 if top else 1, 2 * k)]
     entries = range(1, 2 * n + 1)
-    tableaux = [StandardTableau(top, tuple(x for x in entries if x not in top))
-                for top in tops]
+    # The rule makes every tableau standard, so none is re-validated.
+    tableaux = [
+        StandardTableau._trusted(top, tuple(x for x in entries if x not in top))
+        for top in tops
+    ]
     tableaux.sort(key=lambda s: (_rank(s), s.top))
     return tuple(tableaux)
 

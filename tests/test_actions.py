@@ -128,6 +128,15 @@ class TestVectors:
         assert TabloidVector.from_json(2, v.to_json()) == v
         d = DiagramVector.unit(Matching([(1, 2), (3, 4)]), 5)
         assert DiagramVector.from_json(4, d.to_json()) == d
+        assert DiagramVector.from_json(4, [{"arcs": [[1, 2], [3, 4]], "coeff": 5}]) == d
+
+    @pytest.mark.parametrize("coeff", [1.5, 2.9, True, "1.5"], ids=repr)
+    def test_json_refuses_inexact_coefficients(self, coeff):
+        tabloid = {"top": [1, 2], "bottom": [3, 4], "coeff": coeff}
+        with pytest.raises(ValueError, match="coefficient"):
+            TabloidVector.from_json(2, [tabloid])
+        with pytest.raises(ValueError, match="coefficient"):
+            DiagramVector.from_json(4, [{"arcs": [[1, 2], [3, 4]], "coeff": coeff}])
 
 
 class TestActMatching:

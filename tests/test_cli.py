@@ -101,10 +101,10 @@ class TestMatrixCommands:
         assert body == ["1,-1", "0,1"]
 
     def test_json_is_the_matrix_export(self, capsys):
-        from cupweb import TransitionMatrix, inverse_matrix, transition_matrix
+        from cupweb import inverse_matrix, transition_matrix
 
         matrix = transition_matrix(3)
-        inverse = TransitionMatrix(3, matrix.index, inverse_matrix(matrix))
+        inverse = inverse_matrix(matrix)
         for command, expected in (("matrix", matrix), ("inverse", inverse)):
             _, out, _ = run(capsys, command, "-n", "3", "--format", "json")
             assert out == json.dumps(expected.to_json(), indent=2) + "\n"

@@ -34,15 +34,23 @@ from cupweb import (
 )
 import cupweb.resolution as resolution_module
 import cupweb.transition as transition_module
+from cupweb.cli import main
 from cupweb.errors import SizeLimitError
-from cupweb.transition import matrix_to_csv
 from _oracles import brute_resolve, dense_inverse
+
+
+def _from_rows(n: int, index, rows) -> TransitionMatrix:
+    """The matrix with dense ``rows``, stored as columns of its nonzero entries."""
+    return TransitionMatrix(n, index, tuple(
+        {s: row[t] for s, row in enumerate(rows) if row[t]}
+        for t in range(len(index))
+    ))
 
 
 def _corrupt(matrix: TransitionMatrix, s: int, t: int, value: int) -> TransitionMatrix:
     entries = [list(row) for row in matrix.entries]
     entries[s][t] = value
-    return TransitionMatrix(matrix.n, matrix.index, tuple(tuple(r) for r in entries))
+    return _from_rows(matrix.n, matrix.index, entries)
 
 
 class TestMatrix:
@@ -123,7 +131,7 @@ class TestUnitriangular:
 
     def test_identity_matrix_passes(self):
         index = enumerate_syt(2)
-        identity = TransitionMatrix(2, index, ((1, 0), (0, 1)))
+        identity = _from_rows(2, index, ((1, 0), (0, 1)))
         assert verify_unitriangular(identity).passed
 
     def test_corrupted_fails_with_witness(self):
@@ -140,7 +148,7 @@ class TestPositivity:
         assert verify_positivity(transition_matrix(n)).passed
 
     def test_n2_by_hand(self):
-        matrix = TransitionMatrix(2, enumerate_syt(2), ((1, 1), (0, 1)))
+        matrix = _from_rows(2, enumerate_syt(2), ((1, 1), (0, 1)))
         assert verify_positivity(matrix).passed
 
     def test_corrupted_zero_fails(self):
@@ -170,7 +178,7 @@ def _permuted(matrix: TransitionMatrix, perm) -> TransitionMatrix:
     """The same matrix over the index reordered by ``perm``, rows and columns."""
     index = tuple(matrix.index[p] for p in perm)
     entries = tuple(tuple(matrix.entry(p, q) for q in perm) for p in perm)
-    return TransitionMatrix(matrix.n, index, entries)
+    return _from_rows(matrix.n, index, entries)
 
 
 NOT_UPPER = "matrix not invertible over the order: matrix must be upper-triangular"
@@ -280,10 +288,10 @@ def _pairwise_witnesses(matrix: TransitionMatrix, graph) -> tuple:
 
 class TestInverse:
     def test_n1(self):
-        assert inverse_matrix(transition_matrix(1)) == ((1,),)
+        assert inverse_matrix(transition_matrix(1)).entries == ((1,),)
 
     def test_n2(self):
-        assert inverse_matrix(transition_matrix(2)) == ((1, -1), (0, 1))
+        assert inverse_matrix(transition_matrix(2)).entries == ((1, -1), (0, 1))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_product_is_identity(self, n):
@@ -292,13 +300,13 @@ class TestInverse:
         size = matrix.size
         for i in range(size):
             for j in range(size):
-                got = sum(matrix.entry(i, k) * inverse[k][j] for k in range(size))
+                got = sum(matrix.entry(i, k) * inverse.entry(k, j) for k in range(size))
                 assert got == (1 if i == j else 0)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
     def test_matches_dense_back_substitution(self, n):
         matrix = transition_matrix(n)
-        assert inverse_matrix(matrix) == dense_inverse(matrix.entries)
+        assert inverse_matrix(matrix).entries == dense_inverse(matrix.entries)
 
     def test_rejects_bad_diagonal(self):
         bad = _corrupt(transition_matrix(2), 1, 1, 2)
@@ -320,7 +328,7 @@ class TestPsi:
     def test_straightened_cups_are_the_inverse_columns(self, n):
         # Cup by cup, against the inverse that verify_psi compares in one sweep.
         matrix = transition_matrix(n)
-        inverse = inverse_matrix(matrix)
+        inverse = inverse_matrix(matrix).entries
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
         for col, tab in enumerate(matrix.index):
             _, vec = cup_polytabloid(cup_of_tableau(tab))
@@ -343,7 +351,7 @@ class TestPsi:
 
     def test_base_column_is_unit_vector(self):
         matrix = transition_matrix(3)
-        inverse = inverse_matrix(matrix)
+        inverse = inverse_matrix(matrix).entries
         col = matrix.index.index(t0(3))
         assert [inverse[r][col] for r in range(matrix.size)] == [
             1 if r == col else 0 for r in range(matrix.size)
@@ -351,7 +359,7 @@ class TestPsi:
 
     def test_n2_outer_cup_column(self):
         matrix = transition_matrix(2)
-        inverse = inverse_matrix(matrix)
+        inverse = inverse_matrix(matrix).entries
         w = Matching([(1, 4), (2, 3)])
         col = matrix.index.index(tableau_of_cup(w))
         assert [inverse[r][col] for r in range(2)] == [-1, 1]
@@ -503,7 +511,7 @@ class TestWitnessConsistency:
 class TestExports:
     def test_csv_body_rows(self):
         matrix = transition_matrix(2)
-        text = matrix_to_csv(matrix.entries, matrix.index, "transition matrix, n=2")
+        text = matrix.to_csv("transition matrix, n=2")
         lines = text.strip().split("\n")
         comments = [ln for ln in lines if ln.startswith("#")]
         body = [ln for ln in lines if not ln.startswith("#")]
@@ -513,9 +521,18 @@ class TestExports:
 
     def test_csv_n8_digest(self):
         matrix = transition_matrix(8)
-        text = matrix_to_csv(matrix.entries, matrix.index, "transition matrix, n=8")
+        text = matrix.to_csv("transition matrix, n=8")
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "e1611ab25f3ed0e0dc846cf20c9f80f7a518e3bb9cc97e489d5d33b24d2f8005"
+        )
+
+    def test_inverse_csv_n7_digest(self, capsys):
+        # The stdout of `cupweb inverse -n 7`.
+        assert main(["inverse", "-n", "7"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 388_856
+        assert hashlib.sha256(out).hexdigest() == (
+            "b074b1e10392004fae75bc80380523e1eacd6d297a3864e3a5a0a25094fbbe05"
         )
 
     def test_json_schema(self):

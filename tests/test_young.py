@@ -71,6 +71,12 @@ class TestEnumeration:
     def test_matches_row_growth_in_order(self, n):
         assert [(t.top, t.bottom) for t in enumerate_syt(n)] == grow_syt(n)
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_validated_construction(self, n):
+        # enumerate_syt skips the checks; each tableau must still pass them.
+        tableaux = enumerate_syt(n)
+        assert [StandardTableau(t.top, t.bottom) for t in tableaux] == list(tableaux)
+
     def test_n4_contains_example(self):
         tableaux = enumerate_syt(4)
         assert len(tableaux) == 14
