@@ -70,8 +70,11 @@ class Matching:
     @classmethod
     def from_json(cls, data: dict) -> "Matching":
         m = cls(data["arcs"])
-        if "n2" in data and data["n2"] != m.n2:
-            raise ValueError("n2 field disagrees with the arc list")
+        if "n2" in data:
+            if type(data["n2"]) is not int:  # not isinstance: True is an int
+                raise ValueError(f"n2 {data['n2']!r} is not an integer")
+            if data["n2"] != m.n2:
+                raise ValueError("n2 field disagrees with the arc list")
         return m
 
 

@@ -13,13 +13,14 @@ expansion terminates.
 gives left ends a_1, ..., a_n; re-inserting (a_k, 2k) into every cup of
 the expansion so far, cup lifted over a_k, rebuilds the matching.  Since
 resolution is linear, each insertion is resolved on its own, and the
-session keeps the result per (cup, a): a table bounded by n alone.  In the
-lifted cup the arcs crossing (a, 2k) are those covering a, a nested chain.
-Smoothing against the innermost, (x, y), leaves a last arc (y, 2k) or
-(x, 2k) over a cup: one more insertion, with one crossing fewer, until
-none is left.  Later smoothings never touch (x, a) or (a, y), so the two
-branches share no sink; an insertion crossing c arcs has 2^c distinct
-sinks, and each coefficient counts the branch paths ending at its cup.
+session keeps the result per (cup, a) in one table, shared with the matrix
+build and bounded by n alone.  In the lifted cup the arcs crossing (a, 2k)
+are those covering a, a nested chain.  Smoothing against the innermost,
+(x, y), leaves a last arc (y, 2k) or (x, 2k) over a cup: one more
+insertion, with one crossing fewer, until none is left.  Later smoothings
+never touch (x, a) or (a, y), so the two branches share no sink: an
+insertion crossing c arcs has 2^c distinct sinks, counted before it is
+made, and each coefficient counts the branch paths ending at its cup.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -39,6 +40,7 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, insort
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, Union
@@ -176,21 +178,23 @@ def build_resolution_graph(
 
 
 # The session's one-arc insertions: (cup, a) -> the sinks of ``insert_arc``.
-# A cup of k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs
-# the table holds at most the sum over k <= n of C_{k-1} * (2k - 1) entries
-# (8,788 at n = 8), however many calls filled it.
+# A cup of k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs,
+# or the matrix build to n, the table holds at most the sum over k <= n of
+# C_{k-1} * (2k - 1) entries (8,788 at n = 8), however many calls filled it.
 _INSERTED: dict[tuple[tuple, int], tuple] = {}
 
 
-def insert_arc(cup: tuple, a: int, node_budget: int, table: dict) -> tuple:
-    """Sinks of ``cup`` lifted over ``a`` plus the arc (a, 2k), stored in ``table``.
+def insert_arc(cup: tuple, a: int) -> tuple:
+    """Sinks of ``cup`` lifted over ``a`` plus the arc (a, 2k), kept in ``_INSERTED``.
 
     ``cup`` is a canonical cup diagram of k - 1 arcs and 1 <= a < 2k;
     lifting raises every dot >= a by one.  The result, keyed ``(cup, a)``,
-    is a tuple of distinct sink arc tuples; the two insertions it branches
-    into are read from or stored in ``table`` too.  Raises ``SizeLimitError``
-    when its tree, 2 * (number of sinks) - 1 nodes, exceeds ``node_budget``.
+    is a tuple of distinct sink arc tuples, 2^c of them for the c arcs of
+    ``cup`` covering a; the two insertions it branches into are kept too.
     """
+    sinks = _INSERTED.get((cup, a))
+    if sinks is not None:
+        return sinks
     # Lifted, the arc (x, y) of ``cup`` covers a when x < a <= y.
     cover = max((arc for arc in cup if arc[0] < a <= arc[1]), default=None)
     if cover is None:
@@ -206,36 +210,46 @@ def insert_arc(cup: tuple, a: int, node_budget: int, table: dict) -> tuple:
         nested = tuple(sorted(
             (a - 1, y) if p == x else (p - 1, q - 1) if x < p < a else (p, q)
             for p, q in cup))
-        sinks = ()
-        for key in ((vv, y + 1), (nested, x)):
-            sinks += table.get(key) or insert_arc(*key, node_budget, table)
-    table[cup, a] = sinks
-    if 2 * len(sinks) - 1 > node_budget:
-        raise SizeLimitError("resolution exceeded its node budget")
+        sinks = insert_arc(vv, y + 1) + insert_arc(nested, x)
+    _INSERTED[cup, a] = sinks
     return sinks
 
 
-def insert_level(
-    expansion: dict, a: int, node_budget: int, table: dict
-) -> dict[tuple, int]:
+@contextmanager
+def undo_on_refusal():
+    """On ``SizeLimitError``, drop what the block added to ``_INSERTED``.
+
+    A miss only adds keys and a dict keeps insertion order, so the block's
+    own entries are the last ones: a refused call keeps nothing.
+    """
+    before = len(_INSERTED)
+    try:
+        yield
+    except SizeLimitError:
+        while len(_INSERTED) > before:
+            _INSERTED.popitem()
+        raise
+
+
+def insert_level(expansion: dict, a: int, node_budget: int) -> dict[tuple, int]:
     """``expansion`` with the arc (a, 2k) inserted into each of its cups.
 
-    ``expansion`` maps cups of k - 1 arcs to multiplicities; each insertion
-    is read from ``table`` or made by ``insert_arc``.  Raises
-    ``SizeLimitError`` as soon as the cups inserted so far give a tree,
+    ``expansion`` maps cups of k - 1 arcs to multiplicities.  A cup's sinks
+    are counted before its insertion is made: the stored ones, else 2^c for
+    the c arcs covering a, the surplus of left ends below a.  Raises
+    ``SizeLimitError`` as soon as the cups counted so far give a tree,
     2 * (sum of multiplicities) - 1 nodes, larger than ``node_budget``.
     """
     level: dict[tuple, int] = {}
     total = 0
     for cup, mult in expansion.items():
-        sinks = table.get((cup, a))
-        if sinks is None:
-            sinks = insert_arc(cup, a, node_budget, table)
-        for sink in sinks:
-            level[sink] = level.get(sink, 0) + mult
-        total += mult * len(sinks)
+        sinks = _INSERTED.get((cup, a))
+        total += mult * (len(sinks) if sinks else
+                         1 << 2 * bisect_left(cup, (a,)) - a + 1)
         if 2 * total - 1 > node_budget:
             raise SizeLimitError("resolution exceeded its node budget")
+        for sink in sinks or insert_arc(cup, a):
+            level[sink] = level.get(sink, 0) + mult
     return level
 
 
@@ -260,17 +274,16 @@ def resolve_full(
     """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
 
     Raises ``SizeLimitError`` when the resolution tree has more than
-    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1.  The
-    tree size, like the sinks, is the same for every resolution strategy.
-    Every insertion, and every partial sum of a level, is at most the final
-    count, so the budget is checked after each one, whatever the session
-    table already holds.
+    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
+    leaves the session table as it found it.  The tree size, like the
+    sinks, is the same for every resolution strategy.
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
     expansion: dict[tuple, int] = {(): 1}
-    for a in _peel(m.arcs):
-        expansion = insert_level(expansion, a, node_budget, _INSERTED)
+    with undo_on_refusal():
+        for a in _peel(m.arcs):
+            expansion = insert_level(expansion, a, node_budget)
     # A kernel sink has no crossing, and lifting and smoothing keep the dots
     # a permutation, so the keys are built without validation.
     return {CupDiagram._trusted(arcs): mult for arcs, mult in sorted(expansion.items())}

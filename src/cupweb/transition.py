@@ -24,7 +24,7 @@ from operator import and_
 
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
-from .resolution import DEFAULT_NODE_BUDGET, insert_level
+from .resolution import DEFAULT_NODE_BUDGET, insert_level, undo_on_refusal
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
@@ -140,17 +140,18 @@ def transition_matrix(n: int) -> TransitionMatrix:
     Column T of M_k is the sum over c' of M_{k-1}[c', T'] * R(c', a), where
     a = ``top[-1]``, T' has top row ``top[:-1]``, and R(c', a) resolves c'
     lifted over a (entries >= a raised by one) plus the arc (a, 2k).  R, and
-    the insertions it branches into, are kept for this build only.  A column
-    whose resolution tree, 2 * (column sum) - 1 nodes, exceeds
-    ``DEFAULT_NODE_BUDGET`` raises ``SizeLimitError``.
+    the insertions it branches into, are read from or kept in the session
+    table that ``resolve_full`` uses.  A column whose resolution tree,
+    2 * (column sum) - 1 nodes, exceeds ``DEFAULT_NODE_BUDGET`` raises
+    ``SizeLimitError`` and leaves the table as it found it.
     """
-    inserted: dict[tuple, tuple] = {}  # (c', a) -> sinks of R(c', a)
     columns: dict[tuple, dict] = {(): {(): 1}}  # M_0, by top row
-    for k in range(1, n + 1):
-        index = enumerate_syt(k, max_n=n)
-        columns = {t.top: insert_level(columns[t.top[:-1]], t.top[-1],
-                                       DEFAULT_NODE_BUDGET, inserted)
-                   for t in index}
+    with undo_on_refusal():
+        for k in range(1, n + 1):
+            index = enumerate_syt(k, max_n=n)
+            columns = {t.top: insert_level(columns[t.top[:-1]], t.top[-1],
+                                           DEFAULT_NODE_BUDGET)
+                       for t in index}
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     return TransitionMatrix(n, index, tuple(
         {row_of[arcs]: mult for arcs, mult in columns.pop(t.top).items()}
@@ -171,7 +172,14 @@ def _first_violation(masks) -> tuple[int, int] | None:
 
 
 def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
-    return [sum(1 << t for t, e in r.items() if keep(e)) for r in matrix._rows()]
+    """Per row s, the mask of the columns t where ``keep(M[s][t])``."""
+    rows = [bytearray((matrix.size + 7) >> 3) for _ in matrix.index]
+    for t, col in enumerate(matrix.columns):
+        byte, bit = t >> 3, 1 << (t & 7)
+        for s, e in col.items():
+            if keep(e):
+                rows[s][byte] |= bit
+    return [int.from_bytes(row, "little") for row in rows]
 
 
 def _dominance_masks(vertices: tuple[StandardTableau, ...]) -> list[int]:

@@ -1,6 +1,8 @@
+import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -238,6 +240,24 @@ class TestVerify:
         assert "timestamp" in report and report["timestamp"]
 
 
+class TestPinnedReports:
+    """Reports pinned by digest, with their time fields masked."""
+
+    @pytest.mark.parametrize("argv, code, size, digest", [
+        (["verify", "-n", "7", "all"], 0, 1281,
+         "8697cae08e0884b0a1c00496141b5c1abe4883dc7e0bb05f7a3ec95b343f0338"),
+        (["verify", "-n", "4", "all", "--self-test"], 1, 1466,
+         "e5688387fa864dc31d22c7d901a9815fe79283f1c12fbda8648826150becd35d"),
+    ], ids=["verify-7-all", "verify-4-all-self-test"])
+    def test_digest(self, capsys, argv, code, size, digest):
+        got, out, err = run(capsys, *argv)
+        out = re.sub(r'"elapsed_seconds": [^,}\n]*', '"elapsed_seconds": 0', out)
+        out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
+        body = out.encode()
+        assert (got, err) == (code, "")
+        assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
+
+
 class TestRender:
     def test_five_cups_ascii(self, capsys):
         code, out, _ = run(
@@ -297,10 +317,11 @@ class TestMalformedShapes:
             ["render", '{"tableau_graph": true}', "--format", "dot"],
             ["render", '{"tableau_graph": 2.7}', "--format", "dot"],
             ["render", '{"tableau_graph": "2"}', "--format", "dot"],
+            ["resolve", '{"arcs": [[1, 3], [2, 4]], "n2": 4.0}'],
         ],
         ids=["int-arcs", "str-dot", "null-arcs", "list-root", "int-rows", "list-size",
              "bool-dot", "bool-top", "float-dot", "bool-size", "float-size",
-             "str-size"],
+             "str-size", "float-n2"],
     )
     def test_exit_2_without_traceback(self, capsys, argv):
         code, out, err = run(capsys, *argv)

@@ -62,6 +62,11 @@ class TestMatching:
             "arcs": [[1, 6], [2, 3], [4, 5], [7, 8]],
         }
 
+    @pytest.mark.parametrize("n2", [4.0, True, "4", None])
+    def test_json_refuses_a_non_int_n2(self, n2):
+        with pytest.raises(ValueError, match="not an integer"):
+            Matching.from_json({"arcs": [[1, 3], [2, 4]], "n2": n2})
+
     def test_cup_diagram_rejects_crossing(self):
         with pytest.raises(ValueError):
             CupDiagram([(1, 3), (2, 4)])

@@ -33,7 +33,7 @@ from cupweb import (
     witness_path,
 )
 import cupweb.resolution as resolution_module
-from cupweb.resolution import DEFAULT_NODE_BUDGET, _peel, insert_arc, sinks_to_json
+from cupweb.resolution import _peel, insert_arc, insert_level, sinks_to_json
 from _oracles import (
     all_pairings,
     brute_crossing_pairs,
@@ -200,7 +200,7 @@ class TestResolveFull:
         def warm_through_matrix(n):
             table.clear()
             transition_matrix.cache_clear()
-            transition_matrix(n)  # builds on a table of its own
+            transition_matrix(n)  # fills the session table too
 
         rng = random.Random(17)
         for _ in range(12):
@@ -349,6 +349,15 @@ def _all_matchings(max_n):
             yield Matching(arcs)
 
 
+def _insertions(max_arcs):
+    """(k, cup, a) for every cup of k - 1 <= ``max_arcs`` arcs and 1 <= a < 2k."""
+    for k in range(1, max_arcs + 2):
+        for cup in all_pairings(range(1, 2 * k - 1)):
+            if not brute_crossing_pairs(cup):
+                for a in range(1, 2 * k):
+                    yield k, cup, a
+
+
 def _assert_trusted_keys(sinks):
     """What validating each key used to check, asserted directly."""
     assert list(sinks) == sorted(sinks, key=lambda w: w.arcs)
@@ -401,32 +410,62 @@ class TestInsertionResolution:
         assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
 
     def test_insertion_equals_brute_force(self):
-        for k in range(1, 7):
-            for cup in all_pairings(range(1, 2 * k - 1)):
-                if brute_crossing_pairs(cup):
-                    continue
-                for a in range(1, 2 * k):
-                    sinks = insert_arc(cup, a, DEFAULT_NODE_BUDGET, {})
-                    lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
-                    expected = brute_resolve(lifted + [(a, 2 * k)])
-                    assert dict.fromkeys(sinks, 1) == expected
-                    # distinct sinks, 2^c of them for c arcs crossing (a, 2k)
-                    covering = sum(x < a <= y for x, y in cup)
-                    assert len(sinks) == len(expected) == 2 ** covering
+        table = resolution_module._INSERTED
+        for k, cup, a in _insertions(5):
+            table.clear()
+            sinks = insert_arc(cup, a)
+            lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
+            expected = brute_resolve(lifted + [(a, 2 * k)])
+            assert dict.fromkeys(sinks, 1) == expected
+            # distinct sinks, 2^c of them for c arcs crossing (a, 2k)
+            covering = sum(x < a <= y for x, y in cup)
+            assert len(sinks) == len(expected) == 2 ** covering
 
     def test_insertion_budget_counts_its_own_tree(self):
-        cup = ((1, 6), (2, 5), (3, 4))  # a = 4 lies under all three arcs
-        with pytest.raises(SizeLimitError):
-            insert_arc(cup, 4, 14, {})
-        assert len(insert_arc(cup, 4, 15, {})) == 8
+        # An insertion crossing c arcs has 2^c sinks: a tree of 2^(c+1) - 1
+        # nodes, known before the insertion is made.
+        table = resolution_module._INSERTED
+        for _, cup, a in _insertions(5):
+            c = sum(x < a <= y for x, y in cup)
+            size = 2 ** (c + 1) - 1
+            table.clear()  # cold
+            with pytest.raises(SizeLimitError,
+                               match="resolution exceeded its node budget"):
+                insert_level({cup: 1}, a, size - 1)
+            assert (cup, a) not in table
+            level = insert_level({cup: 1}, a, size)
+            assert level == dict.fromkeys(insert_arc(cup, a), 1)
+            assert len(level) == 2 ** c
+            before = dict(table)  # warm: (cup, a) is stored
+            with pytest.raises(SizeLimitError):
+                insert_level({cup: 1}, a, size - 1)
+            assert table == before
+            assert insert_level({cup: 1}, a, size) == level
 
     def test_level_budget_trips_before_the_next_cup(self):
         nested, flat = ((1, 4), (2, 3)), ((1, 2), (3, 4))
-        table: dict = {}
-        # 4 sinks of multiplicity 2 already make a tree of 15 nodes
+        table = resolution_module._INSERTED
+        table.clear()
+        # 4 sinks of multiplicity 2 already make a tree of 15 nodes, counted
+        # before the insertion into ``nested`` is made
         with pytest.raises(SizeLimitError):
-            resolution_module.insert_level({nested: 2, flat: 1}, 3, 14, table)
-        assert (nested, 3) in table and (flat, 3) not in table
+            insert_level({nested: 2, flat: 1}, 3, 14)
+        assert (nested, 3) not in table and (flat, 3) not in table
+
+    def test_refused_call_leaves_the_table_as_it_found_it(self):
+        m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])  # a tree of 31 nodes
+        table = resolution_module._INSERTED
+
+        def warm():
+            table.clear()
+            resolve_full(Matching([(1, 3), (2, 5), (4, 7), (6, 8)]))
+
+        for prepare in (table.clear, warm):
+            prepare()
+            before = dict(table)
+            with pytest.raises(SizeLimitError):
+                resolve_full(m, node_budget=30)
+            assert table == before
 
     def test_peel_equals_lowering_loop(self):
         cases = [arcs for n in range(7)

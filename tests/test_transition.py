@@ -6,6 +6,7 @@ import pytest
 from cupweb import (
     DiagramVector,
     Matching,
+    MoveKind,
     StandardTableau,
     TabloidVector,
     TransitionMatrix,
@@ -16,6 +17,7 @@ from cupweb import (
     build_tableau_graph,
     check_witness,
     column_matching,
+    crossings,
     cup_of_tableau,
     cup_polytabloid,
     enumerate_syt,
@@ -24,6 +26,8 @@ from cupweb import (
     leq,
     order_conjecture_report,
     resolve_full,
+    resolve_step,
+    swap_dots,
     t0,
     tableau_of_cup,
     transition_matrix,
@@ -115,13 +119,47 @@ class TestMatrix:
         monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 543)
         assert transition_matrix(6).size == 132
 
-    def test_build_leaves_the_session_cache_alone(self):
-        resolution_module._INSERTED.clear()
-        resolve_full(Matching([(1, 5), (2, 6), (3, 7), (4, 8)]))
-        before = dict(resolution_module._INSERTED)
+    def test_build_shares_the_session_table(self, monkeypatch):
+        table = resolution_module._INSERTED
+        table.clear()
         transition_matrix.cache_clear()
-        transition_matrix(6)
-        assert resolution_module._INSERTED == before
+        cold = transition_matrix(6)
+        # C_{k-1} cups of k - 1 arcs times 2k - 1 positions, for k <= 6
+        assert len(table) <= 637
+        before = dict(table)
+        for tab in enumerate_syt(6):
+            resolve_full(column_matching(tab.columns()))
+        assert table == before
+        transition_matrix.cache_clear()
+        warm = transition_matrix(6)
+        assert (warm.index, warm.columns) == (cold.index, cold.columns)
+        # the largest column at n = 6 sums to 272: a tree of 543 nodes
+        for prepare in (table.clear, lambda: None):  # cold, then warm
+            prepare()
+            transition_matrix.cache_clear()
+            monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 542)
+            with pytest.raises(SizeLimitError,
+                               match="resolution exceeded its node budget"):
+                transition_matrix(6)
+            monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 543)
+            assert transition_matrix(6).columns == cold.columns
+
+    def test_refused_build_leaves_the_table_as_it_found_it(self, monkeypatch):
+        table = resolution_module._INSERTED
+
+        def warm():
+            table.clear()
+            transition_matrix.cache_clear()
+            transition_matrix(5)
+
+        monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 542)
+        for prepare in (table.clear, warm):
+            prepare()
+            transition_matrix.cache_clear()
+            before = dict(table)
+            with pytest.raises(SizeLimitError):
+                transition_matrix(6)
+            assert table == before
 
 
 class TestUnitriangular:
@@ -161,6 +199,32 @@ class TestPositivity:
     def test_entries_nonnegative(self, n):
         matrix = transition_matrix(n)
         assert all(e >= 0 for row in matrix.entries for e in row)
+
+
+class TestRowMasks:
+    KEEPS = [bool, lambda e: e > 0]
+
+    @staticmethod
+    def _sum_of_shifts(matrix, keep):
+        return [sum(1 << t for t, e in r.items() if keep(e)) for r in matrix._rows()]
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equal_the_sum_of_shifts(self, n):
+        matrix = transition_matrix(n)
+        for keep in self.KEEPS:
+            assert transition_module._row_masks(matrix, keep) == (
+                self._sum_of_shifts(matrix, keep))
+
+    def test_corrupted_and_stored_zero(self):
+        base = transition_matrix(4)
+        corrupted = _corrupt(_corrupt(base, 13, 0, -2), 5, 9, 0)
+        columns = [dict(col) for col in base.columns]
+        columns[7][2] = 0
+        stored_zero = TransitionMatrix(4, base.index, tuple(columns))
+        for matrix in (corrupted, stored_zero):
+            for keep in self.KEEPS:
+                assert transition_module._row_masks(matrix, keep) == (
+                    self._sum_of_shifts(matrix, keep))
 
 
 def test_verifiers_read_the_matrix_size_as_its_limit():
@@ -461,6 +525,57 @@ class TestColumnSums:
             tree = build_resolution_graph(column_matching(tab.columns()), script)
             recount = tree.sink_multiset()
             assert total == sum(recount.values())
+
+
+def _reflect(i: int, arcs: tuple) -> dict[tuple, int]:
+    """s_i on the cup ``arcs``, over cups, without the insertion kernel.
+
+    A cup with the arc (i, i+1) is negated.  Otherwise swapping the dots i
+    and i+1 makes one crossing, and its two smoothings are the terms.
+    """
+    if (i, i + 1) in arcs:
+        return {arcs: -1}
+    swapped = swap_dots(Matching(arcs), i)
+    found = crossings(swapped)
+    assert len(found) == 1
+    out = {}
+    for kind in MoveKind:
+        child = resolve_step(swapped, found[0], kind)
+        assert not crossings(child)
+        out[child.arcs] = 1
+    return out
+
+
+class TestColumnsAlongGraphEdges:
+    """Column dst of M is s_i times column src along a graph edge src ->_i dst.
+
+    Starting from the unit column of t0, one parent edge per tableau gives
+    every column, which checks the insertion build at n = 8, beyond the
+    reach of ``brute_resolve``.
+    """
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_insertion_build(self, n):
+        matrix = transition_matrix(n)
+        graph = build_tableau_graph(n)
+        assert graph.vertices == matrix.index
+        parent = {}
+        for src, dst, i in graph.edges:
+            parent.setdefault(dst, (src, i))
+        reflected = {}  # (cup, i) -> s_i cup
+        columns = [{cup_of_tableau(matrix.index[0]).arcs: 1}]
+        for dst in range(1, matrix.size):
+            src, i = parent[dst]  # src has a lower rank, so src < dst
+            col = {}
+            for cup, mult in columns[src].items():
+                if (cup, i) not in reflected:
+                    reflected[cup, i] = _reflect(i, cup)
+                for w, c in reflected[cup, i].items():
+                    col[w] = col.get(w, 0) + mult * c
+            columns.append({w: c for w, c in col.items() if c})
+        row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(matrix.index)}
+        assert [{row_of[w]: c for w, c in col.items()} for col in columns] == [
+            {s: e for s, e in col.items() if e} for col in matrix.columns]
 
 
 class TestMatrixIntertwining:
