@@ -297,7 +297,8 @@ def _garnir_key(columns: tuple[tuple[int, int], ...]) -> tuple[int, int]:
 def _straighten(
     seeds: Mapping[tuple[tuple[int, int], ...], Mapping[Hashable, int]],
     step_budget: int,
-) -> dict[tuple[tuple[int, int], ...], dict[Hashable, int]]:
+    spent: int = 0,
+) -> tuple[dict[tuple[tuple[int, int], ...], dict[Hashable, int]], int]:
     """Straighten every seed in one sweep: standard columns -> ``{label: coeff}``.
 
     Each seed is a filling in normal form, as both rewrite children are,
@@ -307,13 +308,14 @@ def _straighten(
     keep-order child has one inversion less, the re-sorted one a larger
     top-row sum), so each filling, however many seeds share it, is popped
     after all its parents, with its final vector, and expanded once;
-    ``step_budget`` bounds these expansions.
+    ``step_budget`` bounds these expansions plus the ``spent`` ones of
+    earlier sweeps, and the running total is returned with the expansions.
     """
     vectors = {cols: dict(vec) for cols, vec in seeds.items()}
     heap = [(*_garnir_key(cols), cols) for cols in vectors]
     heapify(heap)
     out = {}
-    steps = 0
+    steps = spent
     while heap:
         top_sum, neg_inversions, cols = heappop(heap)
         vec = vectors.pop(cols)
@@ -343,7 +345,7 @@ def _straighten(
                     heappush(heap, (*_garnir_key(child), child))
             for label, coeff in vec.items():
                 target[label] = target.get(label, 0) + sign * coeff
-    return out
+    return out, steps
 
 
 def garnir_straighten(
@@ -357,7 +359,7 @@ def garnir_straighten(
     """
     vec = TabloidVector.unit(x) if isinstance(x, TwoRowTableau) else x
     seeds = {key.columns: {None: coeff} for key, coeff in vec.terms.items()}
-    out = _straighten(seeds, step_budget)
+    out, _ = _straighten(seeds, step_budget)
     # The kernel's keys are standard normal-form columns: no re-validation.
     terms = {TwoRowTableau._trusted(k): c[None] for k, c in out.items() if c[None]}
     return TabloidVector._trusted(vec.n, terms)

@@ -129,7 +129,8 @@ def cup_of_tableau(tableau: StandardTableau) -> CupDiagram:
     """The unique cup diagram whose left endpoints are the top row.
 
     Scans dots left to right: a top-row entry opens an arc, a bottom-row
-    entry closes the most recently opened one.
+    entry closes the most recently opened one.  Arcs closed this way are
+    nested or disjoint, so the sorted list is trusted as a cup diagram.
     """
     top = set(tableau.top)
     stack: list[int] = []
@@ -139,7 +140,7 @@ def cup_of_tableau(tableau: StandardTableau) -> CupDiagram:
             stack.append(d)
         else:
             arcs.append((stack.pop(), d))
-    return CupDiagram(arcs)
+    return CupDiagram._trusted(tuple(sorted(arcs)))
 
 
 def tableau_of_cup(w: Matching) -> StandardTableau:

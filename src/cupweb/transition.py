@@ -20,6 +20,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import reduce
+from itertools import groupby
 from operator import and_
 
 from .actions import DEFAULT_STEP_BUDGET, _straighten
@@ -257,14 +258,117 @@ def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
     return TransitionMatrix(matrix.n, matrix.index, tuple(found))
 
 
+def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Columns with i and i+1 exchanged, in normal form, and the sign it costs."""
+    swap = {i: i + 1, i + 1: i}
+    sign, out = 1, []
+    for a, b in columns:
+        a, b = swap.get(a, a), swap.get(b, b)
+        if a > b:
+            a, b, sign = b, a, -sign
+        out.append((a, b))
+    return tuple(sorted(out)), sign
+
+
+def _edge_identity_holds(src_cup, dst_cup, i: int) -> bool:
+    """w_dst = s_i w_src - w_src for the fillings on the arcs of two cups.
+
+    s_i moves only the columns of w_src holding i or i+1.  These two, their
+    images and the two columns of w_dst outside the other n - 2 must have
+    4-term expansions that cancel; the identity on them then holds for the
+    whole fillings, which share the other columns.
+    """
+    rest = [col for col in src_cup if i in col or i + 1 in col]
+    shared = set(src_cup).difference(rest)
+    dst_rest = [col for col in dst_cup if col not in shared]
+    if not (len(rest) == len(dst_rest) == 2 and len(dst_cup) == len(src_cup)
+            and shared.issubset(dst_cup)):
+        return False
+    moved, sign = _relabel(rest, i)
+    total: dict[frozenset, int] = {}  # tabloids by top-row set
+    for ((a, b), (c, d)), coeff in ((dst_rest, 1), (moved, -sign), (rest, 1)):
+        for top, term in (((a, c), 1), ((b, c), -1), ((a, d), -1), ((b, d), 1)):
+            key = frozenset(top)
+            total[key] = total.get(key, 0) + coeff * term
+    return not any(total.values())
+
+
+def _psi_along_edges(n: int, step_budget: int):
+    """Each tableau's straightened cup, from its parent edge in the graph.
+
+    The first edge into a tableau in ``graph.edges`` is its parent edge
+    src ->_i dst.  As s_i e_T = e_{s_i T}, the filling identity w_dst =
+    s_i w_src - w_src gives psi_dst = sum over T of psi_src[T] * (S(T, i) -
+    e_T), where S(T, i) straightens s_i T.  The identity is checked on each
+    parent edge; the expansion over standard polytabloids is unique, so
+    where it holds psi_dst is the straightening of w_dst.  The S are kept
+    in a table on (T, i), local to the call, and filled rank by rank, one
+    straightening sweep per rank; ``step_budget`` bounds the expansions
+    of all sweeps together.
+
+    Returns the standard columns of each vertex, in the graph's order, and
+    each vertex's psi as ``{vertex: coeff}``, or None when an edge on its
+    chain of parent edges fails ``_edge_identity_holds``.
+    """
+    graph = build_tableau_graph(n, max_n=n)
+    vertices = graph.vertices
+    columns = [t.columns() for t in vertices]
+    position = {cols: k for k, cols in enumerate(columns)}
+    cups = [cup_of_tableau(t).arcs for t in vertices]
+    parent: dict[int, tuple[int, int]] = {}
+    for src, dst, i in graph.edges:
+        parent.setdefault(dst, (src, i))
+    # t0 is straightened directly; every later rank reads the one before.
+    out, spent = _straighten({cups[0]: {None: 1}}, step_budget)
+    psi = [{position[cols]: vec[None] for cols, vec in out.items() if vec[None]}]
+    sound = [True]
+    table: dict[tuple[int, int], dict[int, int]] = {}  # (T, i) -> S(T, i)
+    for _, level in groupby(range(1, len(vertices)),
+                            key=lambda v: sum(vertices[v].top)):
+        level = list(level)
+        seeds: dict[tuple, dict] = {}
+        for dst in level:
+            src, i = parent[dst]
+            for t in psi[src]:
+                if (t, i) in table:
+                    continue
+                swapped, sign = _relabel(columns[t], i)
+                if swapped in position:  # already standard
+                    table[t, i] = {position[swapped]: sign}
+                else:  # i and i+1 share a row of T
+                    table[t, i] = {}
+                    seeds.setdefault(swapped, {})[t, i] = sign
+        out, spent = _straighten(seeds, step_budget, spent)
+        for cols, vec in out.items():
+            x = position[cols]
+            for key, coeff in vec.items():
+                if coeff:
+                    table[key][x] = coeff
+        for dst in level:
+            src, i = parent[dst]
+            acc: dict[int, int] = {}
+            get = acc.get
+            for t, c in psi[src].items():
+                acc[t] = get(t, 0) - c
+                for x, d in table[t, i].items():
+                    acc[x] = get(x, 0) + c * d
+            psi.append({x: c for x, c in acc.items() if c})
+            sound.append(sound[src] and _edge_identity_holds(cups[src], cups[dst], i))
+    return columns, [vec if ok else None for vec, ok in zip(psi, sound)]
+
+
 def verify_psi(
     matrix: TransitionMatrix, step_budget: int = DEFAULT_STEP_BUDGET
 ) -> VerificationReport:
     """Straightening each cup diagram gives the matching column of M^-1.
 
-    Every cup is seeded under its own column in one straightening sweep;
-    each straightened cup, as ``{row: coeff}`` without cancelled terms, is
-    compared with that column of ``inverse_matrix``.
+    The straightened cups psi come from ``_psi_along_edges``, one parent
+    edge of the tableau graph each; ``step_budget`` bounds the rewrite
+    steps of the whole call.  Column by column, in the matrix's own index
+    order, psi of the column's tableau, read through that index and
+    without cancelled terms, is compared with the same column of
+    ``inverse_matrix``.  A column whose chain of parent edges failed the
+    two-column identity fails.
     """
     start = time.perf_counter()
     try:
@@ -272,15 +376,20 @@ def verify_psi(
     except ValueError as exc:
         witness = f"matrix not invertible over the order: {exc}"
     else:
+        columns, psi = _psi_along_edges(matrix.n, step_budget) if matrix.index else ([], [])
+        # Graph vertex -> row of the matrix's own index, by standard columns.
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
-        psi = [{} for _ in matrix.index]
-        seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
-        for cols, vec in _straighten(seeds, step_budget).items():
-            row = row_of[cols]
-            for c, coeff in vec.items():
-                if coeff:
-                    psi[c][row] = coeff
-        bad = next((c for c, got in enumerate(psi) if got != inverse.columns[c]), None)
+        rows = [row_of.get(cols) for cols in columns]
+        psi_of = dict(zip(columns, psi))
+
+        def matches(c: int, t: StandardTableau) -> bool:
+            vec = psi_of.get(t.columns())
+            if vec is None:
+                return False
+            got = {rows[x]: coeff for x, coeff in vec.items()}
+            return None not in got and got == inverse.columns[c]
+
+        bad = next((c for c, t in enumerate(matrix.index) if not matches(c, t)), None)
         witness = None if bad is None else f"web of {matrix.index[bad].row_word()}"
     checks = [Check("straightening-matches-inverse", witness is None, witness)]
     return _report(matrix.n, checks, start)

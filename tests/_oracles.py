@@ -7,11 +7,17 @@ cache-free recursion, insertion left ends by removing and lowering arcs
 one at a time, and polytabloids are expanded over row tabloids directly
 from the signed-column-flip definition, and inverses by dense
 back-substitution.  Ranks are checked against the inversion count of the
-permutation that carries ``t0`` to a tableau.
+permutation that carries ``t0`` to a tableau.  One reference reuses a
+package kernel: ``psi_by_sweep`` straightens every cup in one sweep of the
+Garnir kernel, the reference for ``verify_psi``'s straightening along
+graph edges.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
+
+from cupweb.actions import DEFAULT_STEP_BUDGET, _straighten
+from cupweb.diagrams import cup_of_tableau
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -112,6 +118,23 @@ def dense_inverse(entries):
                 entries[i][k] * inverse[k][j] for k in range(i + 1, j + 1)
             )
     return tuple(tuple(row) for row in inverse)
+
+
+def psi_by_sweep(matrix):
+    """Every cup of ``matrix``'s index straightened in one Garnir sweep.
+
+    Each cup is seeded under its own column, as ``verify_psi`` once did;
+    column c is ``{row: coeff}`` over the matrix's index, and a term whose
+    contributions cancel stays with coefficient 0.
+    """
+    row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
+    seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
+    psi = [{} for _ in matrix.index]
+    out, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
+    for cols, vec in out.items():
+        for c, coeff in vec.items():
+            psi[c][row_of[cols]] = coeff
+    return psi
 
 
 def polytabloid_model(columns):

@@ -42,7 +42,13 @@ from cupweb import (
     verify_unitriangular,
     witness_path,
 )
-from _oracles import CATALAN, coxeter_length, perm_between, random_matching_arcs
+from _oracles import (
+    CATALAN,
+    coxeter_length,
+    perm_between,
+    psi_by_sweep,
+    random_matching_arcs,
+)
 
 
 @contextmanager
@@ -115,10 +121,21 @@ def test_criterion_05_straightening_matches_inverse():
 def test_criterion_06_path_products_match_preimages():
     with criterion(6, "path products agree with cup preimages on >= 3 paths",
                    60.0):
-        for n in range(1, 5):
+        for n in range(1, 7):
             graph = build_tableau_graph(n)
-            for target in graph.vertices:
+            matrix = transition_matrix(n)
+            swept = psi_by_sweep(matrix)
+            # Every target at n <= 5; a seeded third of the 132 at n = 6,
+            # where all of them would add more than a second.
+            walked = (set(random.Random(6).sample(range(matrix.size), 44))
+                      if n == 6 else range(matrix.size))
+            for c, target in enumerate(matrix.index):
                 expected = cup_polytabloid(cup_of_tableau(target))[1]
+                assert expected == TabloidVector(n, {
+                    TwoRowTableau(matrix.index[row].columns()): coeff
+                    for row, coeff in swept[c].items()})
+                if c not in walked:
+                    continue
                 paths = paths_between(graph, t0(n), target, limit=3)
                 assert paths, "the empty path always exists"
                 for labels in paths:

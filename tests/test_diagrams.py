@@ -92,6 +92,14 @@ class TestCupOfTableau:
             for tab in enumerate_syt(n):
                 assert cup_of_tableau(tab).left_endpoints() == tab.top
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_trusted_form_equals_the_validated_one(self, n):
+        for tab in enumerate_syt(n):
+            cup = cup_of_tableau(tab)
+            checked = CupDiagram(cup.arcs)
+            assert type(cup) is type(checked) is CupDiagram
+            assert cup.arcs == checked.arcs and cup == checked
+
 
 class TestTableauOfCup:
     def test_smallest(self):

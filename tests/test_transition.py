@@ -15,6 +15,7 @@ from cupweb import (
     act_web,
     build_resolution_graph,
     build_tableau_graph,
+    canonicalize_columns,
     check_witness,
     column_matching,
     crossings,
@@ -22,6 +23,7 @@ from cupweb import (
     cup_polytabloid,
     enumerate_syt,
     first_row_dominates,
+    garnir_straighten,
     inverse_matrix,
     leq,
     order_conjecture_report,
@@ -38,9 +40,10 @@ from cupweb import (
 )
 import cupweb.resolution as resolution_module
 import cupweb.transition as transition_module
+from cupweb.actions import DEFAULT_STEP_BUDGET
 from cupweb.cli import main
 from cupweb.errors import SizeLimitError
-from _oracles import brute_resolve, dense_inverse
+from _oracles import brute_resolve, dense_inverse, polytabloid_model, psi_by_sweep
 
 
 def _from_rows(n: int, index, rows) -> TransitionMatrix:
@@ -390,7 +393,7 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_straightened_cups_are_the_inverse_columns(self, n):
-        # Cup by cup, against the inverse that verify_psi compares in one sweep.
+        # Cup by cup, against the inverse that verify_psi compares with.
         matrix = transition_matrix(n)
         inverse = inverse_matrix(matrix).entries
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
@@ -436,6 +439,261 @@ class TestPsi:
         bad = _corrupt(transition_matrix(3), 0, 2, 7)
         report = verify_psi(bad)
         assert not report.passed
+
+
+def _stripped(column: dict) -> dict:
+    return {k: v for k, v in column.items() if v}
+
+
+def _parent_edges(graph) -> dict:
+    """dst -> (src, i): the first edge into each tableau, as ``verify_psi`` reads it."""
+    parent = {}
+    for src, dst, i in graph.edges:
+        parent.setdefault(dst, (src, i))
+    return parent
+
+
+def _smallest_psi_budget(n: int) -> int:
+    matrix = transition_matrix(n)
+
+    def fits(budget):
+        try:
+            return verify_psi(matrix, step_budget=budget).passed
+        except SizeLimitError:
+            return False
+
+    lo, hi = -1, 1  # lo never fits; hi fits once the doubling stops
+    while not fits(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
+
+
+class TestPsiAlongEdges:
+    """verify_psi straightens the cups along one parent edge per tableau."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_equals_the_one_sweep_oracle(self, n):
+        matrix = transition_matrix(n)
+        columns, psi = transition_module._psi_along_edges(n, DEFAULT_STEP_BUDGET)
+        assert columns == [t.columns() for t in matrix.index]
+        swept = [_stripped(col) for col in psi_by_sweep(matrix)]
+        assert psi == swept
+        if n <= 7:  # the n = 8 inverse alone would add about 1.5 s
+            assert swept == list(inverse_matrix(matrix).columns)
+
+    def test_the_smallest_budget_does_not_depend_on_earlier_calls(
+            self, capsys, monkeypatch):
+        cold = _smallest_psi_budget(5)
+        real = transition_module._straighten
+        per_sweep = []
+
+        def spy(seeds, budget, spent=0):
+            out, steps = real(seeds, budget, spent)
+            per_sweep.append(steps - spent)
+            return out, steps
+
+        monkeypatch.setattr(transition_module, "_straighten", spy)
+        assert verify_psi(transition_matrix(5)).passed
+        monkeypatch.undo()
+        # The budget covers the rewrites of every sweep of the call.
+        assert sum(per_sweep) == cold > max(per_sweep)
+        assert verify_psi(transition_matrix(6)).passed
+        after_n6 = _smallest_psi_budget(5)
+        rng = random.Random(15)
+        for _ in range(50):
+            dots = list(range(1, 11))
+            rng.shuffle(dots)
+            filling, _ = canonicalize_columns(zip(dots[::2], dots[1::2]))
+            garnir_straighten(filling)
+        assert cold == after_n6 == _smallest_psi_budget(5) > 0
+        assert main(["verify", "-n", "5", "psi", "--step-budget", str(cold)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "-n", "5", "psi", "--step-budget", str(cold - 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: straightening exceeded {cold - 1} rewrite steps\n")
+
+    def test_the_first_failure_in_the_matrix_order_is_reported(self):
+        # Columns 1 and 2 of this index hold the canonical tableaux 2 and 1.
+        matrix = _permuted(transition_matrix(3), (0, 2, 1, 3, 4))
+        for t in (1, 2):
+            matrix = _corrupt(matrix, 0, t, matrix.entry(0, t) + 1)
+        assert verify_psi(matrix).checks[0].witness == "web of 1 3 4 / 2 5 6"
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_witness_is_the_first_column_the_sweep_misses(self, n):
+        # Any order within a rank keeps M unitriangular: such tableaux are
+        # incomparable.  The sweep reads the same hand-built index.
+        rng = random.Random(n)
+        full = transition_matrix(n)
+        for _ in range(6):
+            perm = sorted(range(full.size),
+                          key=lambda k: (sum(full.index[0].top) - sum(full.index[k].top),
+                                         rng.random()))
+            matrix = _permuted(full, perm)
+            for _ in range(rng.randint(0, 3)):
+                t = rng.randrange(1, matrix.size)
+                s = rng.randrange(t)
+                matrix = _corrupt(matrix, s, t, matrix.entry(s, t) + rng.choice([-1, 1]))
+            inverse = inverse_matrix(matrix).columns
+            swept = [_stripped(col) for col in psi_by_sweep(matrix)]
+            bad = next((c for c in range(matrix.size) if swept[c] != inverse[c]), None)
+            expected = None if bad is None else f"web of {matrix.index[bad].row_word()}"
+            assert verify_psi(matrix).checks[0].witness == expected
+
+    def test_a_failed_edge_fails_its_subtree(self, monkeypatch):
+        n = 5
+        parent = _parent_edges(build_tableau_graph(n))
+        real = transition_module._edge_identity_holds
+        for v in (1, 6, 20, 41):
+            cut = cup_of_tableau(transition_matrix(n).index[v]).arcs
+            monkeypatch.setattr(  # the parent edge into v fails
+                transition_module, "_edge_identity_holds",
+                lambda src, dst, i, cut=cut: dst != cut and real(src, dst, i))
+            _, psi = transition_module._psi_along_edges(n, DEFAULT_STEP_BUDGET)
+            subtree = {v}
+            for dst in sorted(parent):  # parents come first in this order
+                if parent[dst][0] in subtree:
+                    subtree.add(dst)
+            assert {k for k, vec in enumerate(psi) if vec is None} == subtree
+
+
+class TestEdgeIdentity:
+    """w_dst = s_i w_src - w_src on the two columns the three fillings do not share.
+
+    The identity is computed here from ``polytabloid_model``, the tabloid
+    expansion of the signed-column-flip definition; s_i relabels the letters
+    of w_src in place, so its columns are not re-sorted and carry no sign.
+    """
+
+    @staticmethod
+    def _cups_and_moved(cups, src, dst, i):
+        swap = {i: i + 1, i + 1: i}
+        moved = tuple((swap.get(a, a), swap.get(b, b)) for a, b in cups[src])
+        return cups[src], cups[dst], moved
+
+    @staticmethod
+    def _sum(*terms) -> dict:
+        total = {}
+        for columns, coeff in terms:
+            for top, sign in polytabloid_model(columns).items():
+                total[top] = total.get(top, 0) + coeff * sign
+        return {k: v for k, v in total.items() if v}
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_every_edge_on_four_letters(self, n):
+        graph = build_tableau_graph(n)
+        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
+        for src, dst, i in graph.edges:
+            w_src, w_dst, moved = self._cups_and_moved(cups, src, dst, i)
+            shared = set(w_dst) & set(moved) & set(w_src)
+            rests = [[c for c in cols if c not in shared]
+                     for cols in (w_dst, moved, w_src)]
+            assert len(shared) == n - 2 and all(len(r) == 2 for r in rests)
+            assert len(set().union(*map(set, rests[0]))) == 4
+            assert self._sum(*zip(rests, (1, -1, 1))) == {}
+            assert transition_module._edge_identity_holds(w_src, w_dst, i)
+
+    @pytest.mark.parametrize("n", range(2, 6))
+    def test_refuses_cups_that_are_not_matchings(self, n):
+        graph = build_tableau_graph(n)
+        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
+        for src, dst, i in graph.edges:
+            w_src, w_dst = cups[src], cups[dst]
+            shared = [c for c in w_dst if c in w_src]
+            assert transition_module._edge_identity_holds(w_src, w_dst, i)
+            for c in shared:
+                dropped = tuple(x for x in w_dst if x != c)
+                assert not transition_module._edge_identity_holds(w_src, dropped, i)
+                doubled = tuple(shared[0] if x == c else x for x in w_dst)
+                if doubled != w_dst:
+                    assert not transition_module._edge_identity_holds(
+                        w_src, doubled, i)
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_holds_on_whole_fillings(self, n):
+        graph = build_tableau_graph(n)
+        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
+        for src, dst, i in graph.edges:
+            w_src, w_dst, moved = self._cups_and_moved(cups, src, dst, i)
+            assert self._sum((w_dst, 1), (moved, -1), (w_src, 1)) == {}
+
+    @pytest.mark.parametrize("n", range(1, 5))
+    def test_the_check_holds_only_where_the_identity_does(self, n):
+        # Every pair of tableaux and every i, edges or not: a pass is sound.
+        graph = build_tableau_graph(n)
+        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
+        vertices = range(len(cups))
+        refused = 0
+        for src in vertices:
+            for dst in vertices:
+                for i in range(1, 2 * n):
+                    w_src, w_dst, moved = self._cups_and_moved(cups, src, dst, i)
+                    if transition_module._edge_identity_holds(w_src, w_dst, i):
+                        assert self._sum((w_dst, 1), (moved, -1), (w_src, 1)) == {}
+                    else:
+                        refused += 1
+        assert refused > len(vertices) ** 2 * (2 * n - 1) // 2
+
+
+class TestPsiMutations:
+    """A wrong cup or a wrong table entry fails the first column that reads it."""
+
+    # The column matching of t0 is its cup, so that case starts at 1.
+    @pytest.mark.parametrize("kind, target", [
+        *(("other cup", t) for t in (0, 1, 7, 20, 41)),
+        *(("column matching", t) for t in (1, 7, 20, 41)),
+    ])
+    def test_a_wrong_cup_fails_its_column(self, monkeypatch, kind, target):
+        matrix = transition_matrix(5)
+        real = transition_module.cup_of_tableau
+        tab = matrix.index[target]
+        if kind == "other cup":
+            wrong = real(matrix.index[(target + 1) % matrix.size])
+        else:
+            wrong = Matching(tab.columns())
+        assert wrong != real(tab)
+        monkeypatch.setattr(transition_module, "cup_of_tableau",
+                            lambda t: wrong if t == tab else real(t))
+        report = verify_psi(matrix)
+        assert report.checks[0].witness == f"web of {tab.row_word()}"
+
+    def test_a_wrong_table_entry_fails_its_first_reader(self, monkeypatch):
+        n = 5
+        matrix = transition_matrix(n)
+        parent = _parent_edges(build_tableau_graph(n))
+        truth = [_stripped(col) for col in psi_by_sweep(matrix)]
+        real = transition_module._straighten
+        labels = []
+
+        def spy(seeds, budget, spent=0):
+            labels.extend(k for vec in seeds.values() for k in vec if k is not None)
+            return real(seeds, budget, spent)
+
+        monkeypatch.setattr(transition_module, "_straighten", spy)
+        assert verify_psi(matrix).passed
+        assert len(labels) == len(set(labels)) > 10
+        base = matrix.index[0].columns()
+        for label in labels[::5]:
+            t, i = label  # the table entry S(T, i), T by its position
+
+            def corrupt(seeds, budget, spent=0):
+                out, steps = real(seeds, budget, spent)
+                if any(label in vec for vec in seeds.values()):
+                    vec = out.setdefault(base, {})
+                    vec[label] = vec.get(label, 0) + 1
+                return out, steps
+
+            monkeypatch.setattr(transition_module, "_straighten", corrupt)
+            reader = min(dst for dst, (src, j) in parent.items()
+                         if j == i and t in truth[src])
+            report = verify_psi(matrix)
+            assert report.checks[0].witness == (
+                f"web of {matrix.index[reader].row_word()}")
 
 
 class TestOrderConjecture:
