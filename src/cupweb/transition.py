@@ -16,7 +16,9 @@ products of nonnegative insertion multiplicities.
 
 from __future__ import annotations
 
+import sys
 import time
+from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import reduce
@@ -234,21 +236,35 @@ def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     return _report(matrix.n, checks, start)
 
 
+def _unitriangular_fault(matrix: TransitionMatrix) -> str | None:
+    """Why ``matrix`` is not unitriangular, at its first bad column, or None.
+
+    Column by column: a diagonal entry other than 1, or else a nonzero
+    entry below the diagonal.
+    """
+    for t, col in enumerate(matrix.columns):
+        if col.get(t, 0) != 1:
+            return "matrix diagonal must be all ones"
+        if any(e for s, e in col.items() if s > t):
+            return "matrix must be upper-triangular"
+    return None
+
+
 def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
     """Exact inverse of a unitriangular matrix, over the same index.
 
     From M^-1 M = I with a unit diagonal, column t of M^-1 is e_t minus
     M[k][t] times column k of M^-1, summed over k < t, so each column is
     read off the nonzero entries of M's column t and earlier columns of
-    M^-1.  A diagonal entry other than 1, or else a nonzero entry below the
-    diagonal, raises ``ValueError`` at the first column that has one.
+    M^-1.  A matrix that ``_unitriangular_fault`` rejects raises
+    ``ValueError`` with its message.  ``cupweb inverse`` prints this
+    matrix; ``verify_psi`` checks M psi = I without it.
     """
+    fault = _unitriangular_fault(matrix)
+    if fault:
+        raise ValueError(fault)
     found: list[dict[int, int]] = []  # the columns of M^-1, nonzeros only
     for t, col in enumerate(matrix.columns):
-        if col.get(t, 0) != 1:
-            raise ValueError("matrix diagonal must be all ones")
-        if any(e for s, e in col.items() if s > t):
-            raise ValueError("matrix must be upper-triangular")
         x = {t: 1}
         for k, e in col.items():
             if e and k != t:
@@ -256,6 +272,47 @@ def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
                     x[s] = x.get(s, 0) - e * v
         found.append({s: v for s, v in x.items() if v})
     return TransitionMatrix(matrix.n, matrix.index, tuple(found))
+
+
+# array type code per field size in bytes, for the fields of ``_packed``
+_FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
+
+
+def _field_int(fields: array) -> int:
+    """The unsigned fields of ``fields`` as one int, field 0 lowest."""
+    if sys.byteorder == "big":  # the first field would be the highest
+        fields.reverse()
+    return int.from_bytes(fields, sys.byteorder)
+
+
+def _packed(column: dict[int, int], width: int) -> int:
+    """Sum of ``e << (s * width)`` over ``column``'s ``{s: e}``.
+
+    ``width`` is a multiple of 8, and every s >= 0 and |e| < 2 ** width.
+    Positive and negative entries fill the unsigned fields of two buffers,
+    which are read as ints and subtracted.  Fields of 8, 16, 32 or 64 bits
+    are ``array`` items; wider ones are byte slices of a ``bytearray``.
+    """
+    length, size = max(column, default=-1) + 1, width >> 3
+    code = _FIELD_CODES.get(size)
+    if code is not None:
+        pos, neg = array(code, bytes(length * size)), array(code, bytes(length * size))
+        for s, e in column.items():
+            if e >= 0:
+                pos[s] = e
+            else:
+                neg[s] = -e
+        return _field_int(pos) - _field_int(neg)
+    pos, neg = bytearray(length * size), bytearray(length * size)
+    for s, e in column.items():
+        (pos if e >= 0 else neg)[s * size:(s + 1) * size] = abs(e).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _field_width(bound: int) -> int:
+    """The least w in 8, 16, 32, 64, else the least multiple of 8, with 2^(w-1) > bound."""
+    width = bound.bit_length() + 1
+    return next((w for w in (8, 16, 32, 64) if w >= width), -(-width // 8) * 8)
 
 
 def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
@@ -362,32 +419,51 @@ def verify_psi(
 ) -> VerificationReport:
     """Straightening each cup diagram gives the matching column of M^-1.
 
-    The straightened cups psi come from ``_psi_along_edges``, one parent
-    edge of the tableau graph each; ``step_budget`` bounds the rewrite
-    steps of the whole call.  Column by column, in the matrix's own index
-    order, psi of the column's tableau, read through that index and
-    without cancelled terms, is compared with the same column of
-    ``inverse_matrix``.  A column whose chain of parent edges failed the
-    two-column identity fails.
+    M must be unitriangular (``_unitriangular_fault``); that is checked
+    first, before any straightening.  The straightened cups psi come from
+    ``_psi_along_edges``, one parent edge of the tableau graph each;
+    ``step_budget`` bounds the rewrite steps of the whole call.  Column by
+    column, in the matrix's own index order, psi_c of the column's
+    tableau, read through that index, must satisfy M psi_c = e_c; as M is
+    invertible, that is psi_c = column c of M^-1.  A column whose chain
+    of parent edges failed the two-column identity fails.
+
+    Column t of M is packed into one int P_t = sum_s M[s][t] 2^(s w), so
+    the packed product is sum_t psi_c[t] P_t = sum_s (M psi_c)[s] 2^(s w),
+    summed over the P_t of each coefficient of psi_c and then scaled.
+    The field width w has 2^(w-1) > B = max |M| * max_c ||psi_c||_1, so
+    every (M psi_c)[s] - (e_c)[s] = d_s has |d_s| <= B + 1 <= 2^(w-1) <
+    2^w.  If sum_s d_s 2^(s w) = 0 and k is the lowest s with d_s != 0,
+    then 2^w divides d_k, although 0 < |d_k| < 2^w.  So the product
+    equals ``1 << (c * w)`` exactly when M psi_c = e_c.
     """
     start = time.perf_counter()
-    try:
-        inverse = inverse_matrix(matrix)
-    except ValueError as exc:
-        witness = f"matrix not invertible over the order: {exc}"
+    fault = _unitriangular_fault(matrix)
+    if fault:
+        witness = f"matrix not invertible over the order: {fault}"
     else:
         columns, psi = _psi_along_edges(matrix.n, step_budget) if matrix.index else ([], [])
         # Graph vertex -> row of the matrix's own index, by standard columns.
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
         rows = [row_of.get(cols) for cols in columns]
         psi_of = dict(zip(columns, psi))
+        entry_max = max((max(map(abs, col.values()), default=0)
+                         for col in matrix.columns), default=0)
+        norm_max = max((sum(map(abs, vec.values())) for vec in psi if vec), default=1)
+        width = _field_width(entry_max * norm_max)
+        packed = [_packed(col, width) for col in matrix.columns]
 
         def matches(c: int, t: StandardTableau) -> bool:
             vec = psi_of.get(t.columns())
             if vec is None:
                 return False
-            got = {rows[x]: coeff for x, coeff in vec.items()}
-            return None not in got and got == inverse.columns[c]
+            by_coeff: dict[int, int] = {}  # the packed columns summed per coefficient
+            for x, coeff in vec.items():
+                row = rows[x]
+                if row is None:
+                    return False
+                by_coeff[coeff] = by_coeff.get(coeff, 0) + packed[row]
+            return sum(k * v for k, v in by_coeff.items()) == 1 << (c * width)
 
         bad = next((c for c, t in enumerate(matrix.index) if not matches(c, t)), None)
         witness = None if bad is None else f"web of {matrix.index[bad].row_word()}"

@@ -43,13 +43,21 @@ def random_filling(rng: random.Random, n: int) -> TwoRowTableau:
 
 
 def smallest_step_budget(tab: TwoRowTableau) -> int:
-    budget = 0
-    while True:
+    def fits(budget):
         try:
             garnir_straighten(tab, step_budget=budget)
-            return budget
+            return True
         except SizeLimitError:
-            budget += 1
+            return False
+
+    # Fitting is monotone in the budget: double past it, then bisect.
+    lo, hi = -1, 0  # lo never fits; hi fits once the doubling stops
+    while not fits(hi):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if fits(mid) else (mid, hi)
+    return hi
 
 
 def rewrite_children(tab: TwoRowTableau) -> list[TwoRowTableau]:

@@ -471,6 +471,34 @@ def _smallest_psi_budget(n: int) -> int:
     return hi
 
 
+def _shuffled_within_ranks(full: TransitionMatrix, rng) -> TransitionMatrix:
+    """``full`` over its index shuffled within each rank.
+
+    Any order within a rank keeps M unitriangular: such tableaux are
+    incomparable.
+    """
+    rank = sum(full.index[0].top)
+    return _permuted(full, sorted(
+        range(full.size), key=lambda k: (rank - sum(full.index[k].top), rng.random())))
+
+
+def _corrupted_above(matrix: TransitionMatrix, rng, count: int, step: int) -> TransitionMatrix:
+    """``count`` random entries above the diagonal moved by +-step."""
+    for _ in range(count):
+        t = rng.randrange(1, matrix.size)
+        s = rng.randrange(t)
+        matrix = _corrupt(matrix, s, t, matrix.entry(s, t) + rng.choice([-step, step]))
+    return matrix
+
+
+def _witness_off_the_inverse(matrix: TransitionMatrix) -> str | None:
+    """The first column whose one-sweep psi differs from that of ``inverse_matrix``."""
+    inverse = inverse_matrix(matrix).columns
+    swept = [_stripped(col) for col in psi_by_sweep(matrix)]
+    bad = next((c for c in range(matrix.size) if swept[c] != inverse[c]), None)
+    return None if bad is None else f"web of {matrix.index[bad].row_word()}"
+
+
 class TestPsiAlongEdges:
     """verify_psi straightens the cups along one parent edge per tableau."""
 
@@ -526,24 +554,12 @@ class TestPsiAlongEdges:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_witness_is_the_first_column_the_sweep_misses(self, n):
-        # Any order within a rank keeps M unitriangular: such tableaux are
-        # incomparable.  The sweep reads the same hand-built index.
         rng = random.Random(n)
         full = transition_matrix(n)
         for _ in range(6):
-            perm = sorted(range(full.size),
-                          key=lambda k: (sum(full.index[0].top) - sum(full.index[k].top),
-                                         rng.random()))
-            matrix = _permuted(full, perm)
-            for _ in range(rng.randint(0, 3)):
-                t = rng.randrange(1, matrix.size)
-                s = rng.randrange(t)
-                matrix = _corrupt(matrix, s, t, matrix.entry(s, t) + rng.choice([-1, 1]))
-            inverse = inverse_matrix(matrix).columns
-            swept = [_stripped(col) for col in psi_by_sweep(matrix)]
-            bad = next((c for c in range(matrix.size) if swept[c] != inverse[c]), None)
-            expected = None if bad is None else f"web of {matrix.index[bad].row_word()}"
-            assert verify_psi(matrix).checks[0].witness == expected
+            matrix = _shuffled_within_ranks(full, rng)
+            matrix = _corrupted_above(matrix, rng, rng.randint(0, 3), 1)
+            assert verify_psi(matrix).checks[0].witness == _witness_off_the_inverse(matrix)
 
     def test_a_failed_edge_fails_its_subtree(self, monkeypatch):
         n = 5
@@ -560,6 +576,122 @@ class TestPsiAlongEdges:
                 if parent[dst][0] in subtree:
                     subtree.add(dst)
             assert {k for k, vec in enumerate(psi) if vec is None} == subtree
+
+
+class TestPackedProduct:
+    """verify_psi checks M psi_c = e_c on columns of M packed into ints."""
+
+    WIDTHS = (8, 16, 32, 64, 72, 136)
+
+    @staticmethod
+    def _shifted(column: dict, width: int) -> int:
+        return sum(e << (s * width) for s, e in column.items())
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_columns_of_m_equal_the_shifted_sum(self, n):
+        for col in transition_matrix(n).columns:
+            for width in self.WIDTHS:
+                assert transition_module._packed(col, width) == self._shifted(col, width)
+
+    @pytest.mark.parametrize("column", [
+        {},
+        {0: 0, 3: 0},
+        {0: -1, 2: 1, 5: -255},
+        {1: 2**15, 4: -(2**16 - 1), 6: 0},
+        {0: 2**32 - 1, 2: -(2**31)},
+        {3: -(2**64 - 1), 0: 2**63},
+        {0: 2**64 + 3, 3: -(2**70), 1: -1},
+        {7: 2**135 - 1, 2: -(2**130)},
+    ])
+    def test_hand_made_columns_equal_the_shifted_sum(self, column):
+        widths = [w for w in self.WIDTHS
+                  if all(abs(e) < 2**w for e in column.values())]
+        assert widths
+        for width in widths:
+            assert transition_module._packed(column, width) == self._shifted(column, width)
+
+    @pytest.mark.parametrize("bound, width", [
+        (0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 32),
+        (2**63 - 1, 64), (2**63, 72), (2**71 - 1, 72), (2**71, 80),
+    ])
+    def test_field_width_is_the_least_sound_one(self, bound, width):
+        assert transition_module._field_width(bound) == width
+        assert 2 ** (width - 1) > bound
+
+    @pytest.mark.parametrize("n", [4, 5, 6])
+    @pytest.mark.parametrize("step", [1, 2**70], ids=["unit", "wide"])
+    def test_verdict_is_the_first_column_off_the_inverse(self, n, step, monkeypatch):
+        # The rule before the packed check: the first c where psi_c differs
+        # from column c of inverse_matrix.  Corruptions by 2**70 force
+        # fields wider than 64 bits.
+        real = transition_module._packed
+        widths = set()
+
+        def spy(column, width):
+            widths.add(width)
+            return real(column, width)
+
+        monkeypatch.setattr(transition_module, "_packed", spy)
+        rng = random.Random(10 * n + step.bit_length())
+        full = transition_matrix(n)
+        for trial in range(4):  # trial 0 stays uncorrupted
+            matrix = _corrupted_above(_shuffled_within_ranks(full, rng), rng, trial, step)
+            expected = _witness_off_the_inverse(matrix)
+            widths.clear()
+            assert verify_psi(matrix).checks[0].witness == expected
+            assert trial > 0 or expected is None
+            assert (max(widths) > 64) == (trial > 0 and step > 1)
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64, 72])
+    def test_a_psi_that_would_alias_in_w_bit_fields_fails(self, w, monkeypatch):
+        # M psi_1 = (2^w, 0) packs to 1 << w in fields of w bits, so the
+        # width must grow with ||psi||_1 and not only with |M|.
+        real = transition_module._psi_along_edges
+
+        def aliased(n, step_budget):
+            columns, psi = real(n, step_budget)
+            return columns, [psi[0], {0: 1 << w}]
+
+        monkeypatch.setattr(transition_module, "_psi_along_edges", aliased)
+        matrix = transition_matrix(2)
+        assert verify_psi(matrix).checks[0].witness == f"web of {matrix.index[1].row_word()}"
+
+    def test_a_term_outside_the_index_fails_its_column(self):
+        # The index holds only the outer cup's tableau; its psi has a term
+        # on the other n = 2 tableau too.
+        full = transition_matrix(2)
+        matrix = TransitionMatrix(2, full.index[1:], ({0: 1},))
+        assert verify_psi(matrix).checks[0].witness == f"web of {full.index[1].row_word()}"
+
+    def test_passes_n7_without_the_inverse(self, monkeypatch):
+        def refuse(matrix):
+            raise AssertionError("verify_psi must not invert M")
+
+        monkeypatch.setattr(transition_module, "inverse_matrix", refuse)
+        assert verify_psi(transition_matrix(7)).passed
+
+    @pytest.mark.parametrize("s, t, value, message", [
+        (1, 1, 2, "matrix diagonal must be all ones"),
+        (3, 3, 0, "matrix diagonal must be all ones"),
+        (4, 2, 1, "matrix must be upper-triangular"),
+        (4, 2, -3, "matrix must be upper-triangular"),
+    ])
+    def test_one_precondition_for_the_inverse_and_psi(self, s, t, value, message):
+        bad = _corrupt(transition_matrix(3), s, t, value)
+        assert transition_module._unitriangular_fault(bad) == message
+        with pytest.raises(ValueError, match=message):
+            inverse_matrix(bad)
+        # Checked before any straightening, so no step budget is spent.
+        report = verify_psi(bad, step_budget=0)
+        assert report.checks[0].witness == f"matrix not invertible over the order: {message}"
+
+    def test_stored_zero_below_the_diagonal_is_no_fault(self):
+        matrix = transition_matrix(3)
+        columns = list(matrix.columns)
+        columns[1] = {**columns[1], 4: 0}
+        stored = TransitionMatrix(3, matrix.index, tuple(columns))
+        assert transition_module._unitriangular_fault(stored) is None
+        assert verify_psi(stored).passed
 
 
 class TestEdgeIdentity:
