@@ -1,5 +1,7 @@
 import hashlib
 import random
+from array import array
+from types import SimpleNamespace
 
 import pytest
 
@@ -552,14 +554,32 @@ class TestPsiAlongEdges:
             matrix = _corrupt(matrix, 0, t, matrix.entry(0, t) + 1)
         assert verify_psi(matrix).checks[0].witness == "web of 1 3 4 / 2 5 6"
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_witness_is_the_first_column_the_sweep_misses(self, n):
+    @pytest.mark.parametrize("n, step", [
+        pytest.param(n, step, id=f"{n}{'-wide' if step > 1 else ''}")
+        for step in (1, 2**70) for n in (4, 5, 6)
+    ])
+    def test_witness_is_the_first_column_the_sweep_misses(self, n, step, monkeypatch):
+        # Corruptions by 2**70 force packed fields wider than 64 bits.
+        real = transition_module._packed
+        widths = []
+
+        def spy(column, width):
+            widths.append(width)
+            return real(column, width)
+
+        monkeypatch.setattr(transition_module, "_packed", spy)
         rng = random.Random(n)
         full = transition_matrix(n)
+        seen_wide = False
         for _ in range(6):
             matrix = _shuffled_within_ranks(full, rng)
-            matrix = _corrupted_above(matrix, rng, rng.randint(0, 3), 1)
+            matrix = _corrupted_above(matrix, rng, rng.randint(0, 3), step)
+            widths.clear()
             assert verify_psi(matrix).checks[0].witness == _witness_off_the_inverse(matrix)
+            wide = max(abs(e) for col in matrix.columns for e in col.values()) > 2**64
+            assert (max(widths) > 64) == wide
+            seen_wide |= wide
+        assert seen_wide == (step > 1)
 
     def test_a_failed_edge_fails_its_subtree(self, monkeypatch):
         n = 5
@@ -610,6 +630,16 @@ class TestPackedProduct:
         for width in widths:
             assert transition_module._packed(column, width) == self._shifted(column, width)
 
+    @pytest.mark.parametrize("code", "BHIQ")
+    def test_fields_of_a_big_endian_host_read_field_0_lowest(self, code, monkeypatch):
+        # Each item byte-swapped is how a big-endian host stores it.
+        values = [1, 2, 3]
+        fields = array(code, values)
+        fields.byteswap()
+        monkeypatch.setattr(transition_module, "sys", SimpleNamespace(byteorder="big"))
+        bits = 8 * fields.itemsize
+        assert transition_module._field_int(fields) == self._shifted(dict(enumerate(values)), bits)
+
     @pytest.mark.parametrize("bound, width", [
         (0, 8), (127, 8), (128, 16), (2**15 - 1, 16), (2**15, 32),
         (2**63 - 1, 64), (2**63, 72), (2**71 - 1, 72), (2**71, 80),
@@ -617,30 +647,6 @@ class TestPackedProduct:
     def test_field_width_is_the_least_sound_one(self, bound, width):
         assert transition_module._field_width(bound) == width
         assert 2 ** (width - 1) > bound
-
-    @pytest.mark.parametrize("n", [4, 5, 6])
-    @pytest.mark.parametrize("step", [1, 2**70], ids=["unit", "wide"])
-    def test_verdict_is_the_first_column_off_the_inverse(self, n, step, monkeypatch):
-        # The rule before the packed check: the first c where psi_c differs
-        # from column c of inverse_matrix.  Corruptions by 2**70 force
-        # fields wider than 64 bits.
-        real = transition_module._packed
-        widths = set()
-
-        def spy(column, width):
-            widths.add(width)
-            return real(column, width)
-
-        monkeypatch.setattr(transition_module, "_packed", spy)
-        rng = random.Random(10 * n + step.bit_length())
-        full = transition_matrix(n)
-        for trial in range(4):  # trial 0 stays uncorrupted
-            matrix = _corrupted_above(_shuffled_within_ranks(full, rng), rng, trial, step)
-            expected = _witness_off_the_inverse(matrix)
-            widths.clear()
-            assert verify_psi(matrix).checks[0].witness == expected
-            assert trial > 0 or expected is None
-            assert (max(widths) > 64) == (trial > 0 and step > 1)
 
     @pytest.mark.parametrize("w", [8, 16, 32, 64, 72])
     def test_a_psi_that_would_alias_in_w_bit_fields_fails(self, w, monkeypatch):
