@@ -105,6 +105,18 @@ def canonicalize_columns(
     return TwoRowTableau(tuple(fixed)), sign
 
 
+def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Columns with i and i+1 exchanged, in normal form, and the sign it costs."""
+    swap = {i: i + 1, i + 1: i}
+    sign, out = 1, []
+    for a, b in columns:
+        a, b = swap.get(a, a), swap.get(b, b)
+        if a > b:
+            a, b, sign = b, a, -sign
+        out.append((a, b))
+    return tuple(sorted(out)), sign
+
+
 class _SparseVector:
     """Shared integer-combination plumbing for the two vector types."""
 
@@ -377,10 +389,8 @@ def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:
     for key, coeff in v.terms.items():
         if not key.is_standard():
             raise ValueError(f"key {key!r} is not standard")
-        tab, sign = canonicalize_columns(
-            tuple(i + 1 if e == i else i if e == i + 1 else e for e in col)
-            for col in key.columns
-        )
+        columns, sign = _relabel(key.columns, i)
+        tab = TwoRowTableau._trusted(columns)  # a relabelled key stays in normal form
         swapped[tab] = swapped.get(tab, 0) + sign * coeff
     return garnir_straighten(TabloidVector(v.n, swapped))
 

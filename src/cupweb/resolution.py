@@ -273,6 +273,7 @@ def resolve_full(
 ) -> dict[CupDiagram, int]:
     """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
 
+    The dict's order is unspecified; a caller that shows one sorts it.
     Raises ``SizeLimitError`` when the resolution tree has more than
     ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
     leaves the session table as it found it.  The tree size, like the
@@ -286,7 +287,7 @@ def resolve_full(
             expansion = insert_level(expansion, a, node_budget)
     # A kernel sink has no crossing, and lifting and smoothing keep the dots
     # a permutation, so the keys are built without validation.
-    return {CupDiagram._trusted(arcs): mult for arcs, mult in sorted(expansion.items())}
+    return {CupDiagram._trusted(arcs): mult for arcs, mult in expansion.items()}
 
 
 def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:

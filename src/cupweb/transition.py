@@ -25,7 +25,7 @@ from functools import reduce
 from itertools import groupby
 from operator import and_
 
-from .actions import DEFAULT_STEP_BUDGET, _straighten
+from .actions import DEFAULT_STEP_BUDGET, _relabel, _straighten
 from .diagrams import cup_of_tableau
 from .resolution import DEFAULT_NODE_BUDGET, insert_level, undo_on_refusal
 from .young import (
@@ -316,18 +316,6 @@ def _field_width(bound: int) -> int:
     """The least w in 8, 16, 32, 64, else the least multiple of 8, with 2^(w-1) > bound."""
     width = bound.bit_length() + 1
     return next((w for w in (8, 16, 32, 64) if w >= width), -(-width // 8) * 8)
-
-
-def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Columns with i and i+1 exchanged, in normal form, and the sign it costs."""
-    swap = {i: i + 1, i + 1: i}
-    sign, out = 1, []
-    for a, b in columns:
-        a, b = swap.get(a, a), swap.get(b, b)
-        if a > b:
-            a, b, sign = b, a, -sign
-        out.append((a, b))
-    return tuple(sorted(out)), sign
 
 
 def _edge_identity_holds(src_cup, dst_cup, i: int) -> bool:

@@ -5,12 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import cupweb
-from cupweb.cli import main
+from cupweb.cli import main, tableau_graph_json
+from cupweb.resolution import sinks_to_json
 
 WITNESS_T = '{"top": [1, 2, 4, 5, 7], "bottom": [3, 6, 8, 9, 10]}'
 WITNESS_S = '{"top": [1, 3, 4, 6, 9], "bottom": [2, 5, 7, 8, 10]}'
@@ -20,6 +22,13 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _records(graph):
+    """The enumerate command's JSON document, built from the library."""
+    return [{"top": list(t.top), "bottom": list(t.bottom),
+             "rank": cupweb.rank(t, graph), "word": t.row_word()}
+            for t in graph.vertices]
 
 
 class TestEnumerate:
@@ -102,14 +111,19 @@ class TestMatrixCommands:
         body = [ln for ln in out.splitlines() if not ln.startswith("#")]
         assert body == ["1,-1", "0,1"]
 
-    def test_json_is_the_matrix_export(self, capsys):
-        from cupweb import inverse_matrix, transition_matrix
-
-        matrix = transition_matrix(3)
-        inverse = inverse_matrix(matrix)
-        for command, expected in (("matrix", matrix), ("inverse", inverse)):
-            _, out, _ = run(capsys, command, "-n", "3", "--format", "json")
-            assert out == json.dumps(expected.to_json(), indent=2) + "\n"
+    @pytest.mark.parametrize("argv, document", [
+        (["matrix", "-n", "3"], lambda: cupweb.transition_matrix(3).to_json()),
+        (["inverse", "-n", "3"],
+         lambda: cupweb.inverse_matrix(cupweb.transition_matrix(3)).to_json()),
+        (["enumerate", "-n", "3"], lambda: _records(cupweb.build_tableau_graph(3))),
+        (["graph", "-n", "3"],
+         lambda: tableau_graph_json(cupweb.build_tableau_graph(3))),
+        (["resolve", '{"arcs": [[1,3],[2,5],[4,6]]}'], lambda: sinks_to_json(
+            6, cupweb.resolve_full(cupweb.Matching([(1, 3), (2, 5), (4, 6)])))),
+    ], ids=["matrix", "inverse", "enumerate", "graph", "resolve"])
+    def test_json_is_the_matrix_export(self, capsys, argv, document):
+        _, out, _ = run(capsys, *argv, "--format", "json")
+        assert out == json.dumps(document(), indent=2) + "\n"
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "matrix", "-n", "3", "--format", "json")
@@ -241,14 +255,18 @@ class TestVerify:
 
 
 class TestPinnedReports:
-    """Reports pinned by digest, with their time fields masked."""
+    """Outputs pinned by digest, with the reports' time fields masked."""
 
     @pytest.mark.parametrize("argv, code, size, digest", [
         (["verify", "-n", "7", "all"], 0, 1281,
          "8697cae08e0884b0a1c00496141b5c1abe4883dc7e0bb05f7a3ec95b343f0338"),
         (["verify", "-n", "4", "all", "--self-test"], 1, 1466,
          "e5688387fa864dc31d22c7d901a9815fe79283f1c12fbda8648826150becd35d"),
-    ], ids=["verify-7-all", "verify-4-all-self-test"])
+        (["matrix", "-n", "7", "--format", "json"], 0, 1756075,
+         "6d9cdabe77a1f7b829e74f675fea7a8ec9403432f30f63be237aa99f29e5b2e4"),
+        (["inverse", "-n", "7", "--format", "json"], 0, 1761240,
+         "eb2771b11be034856d3c07b05ff8c4d46fd5c9b0b30729d8ace914eeb69c889e"),
+    ], ids=["verify-7-all", "verify-4-all-self-test", "matrix-7-json", "inverse-7-json"])
     def test_digest(self, capsys, argv, code, size, digest):
         got, out, err = run(capsys, *argv)
         out = re.sub(r'"elapsed_seconds": [^,}\n]*', '"elapsed_seconds": 0', out)
@@ -363,6 +381,28 @@ class TestOutputFiles:
         code, _, err = run(capsys, "matrix", "-n", "2", "-o", str(target))
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_full_device(self, capsys, fmt):
+        # At n = 5 the JSON outgrows the write buffer: the write fails mid-stream.
+        code, out, err = run(capsys, "matrix", "-n", "5", "--format", fmt,
+                             "-o", "/dev/full")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_json_is_encoded_into_the_file(self, tmp_path):
+        # The JSON is never held as one string: a joined text peaks near 10x the file.
+        target = tmp_path / "m6.json"
+        argv = ["matrix", "-n", "6", "--format", "json", "-o", str(target)]
+        main(argv)  # builds M_6 and warms the parser: only the export is measured
+        tracemalloc.start()
+        try:
+            main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * target.stat().st_size
 
     def test_output_dir_env(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("CUPWEB_OUTPUT_DIR", str(tmp_path))

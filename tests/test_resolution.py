@@ -358,9 +358,14 @@ def _insertions(max_arcs):
                     yield k, cup, a
 
 
-def _assert_trusted_keys(sinks):
+def _assert_trusted_keys(m, sinks):
     """What validating each key used to check, asserted directly."""
-    assert list(sinks) == sorted(sinks, key=lambda w: w.arcs)
+    warm, resolution_module._INSERTED = resolution_module._INSERTED, {}
+    try:
+        cold = list(resolve_full(m))  # on an empty session table
+    finally:
+        resolution_module._INSERTED = warm
+    assert list(sinks) == cold == list(resolve_full(m))
     for w in sinks:
         assert type(w) is CupDiagram
         assert all(type(d) is int for arc in w.arcs for d in arc)
@@ -377,7 +382,7 @@ class TestInsertionResolution:
         for m in cases:
             sinks = resolve_full(m)
             assert {w.arcs: k for w, k in sinks.items()} == brute_resolve(m.arcs)
-            _assert_trusted_keys(sinks)
+            _assert_trusted_keys(m, sinks)
 
     def test_equals_kernel_on_a_fresh_memo_n8(self):
         rng = random.Random(12)
@@ -385,7 +390,7 @@ class TestInsertionResolution:
             m = Matching(random_matching_arcs(rng, 16))
             sinks = resolve_full(m)
             assert {w.arcs: k for w, k in sinks.items()} == brute_resolve(m.arcs)
-            _assert_trusted_keys(sinks)
+            _assert_trusted_keys(m, sinks)
 
     def test_empty_matching(self):
         assert resolve_full(Matching([])) == {CupDiagram([]): 1}
