@@ -86,6 +86,9 @@ def _effective_max_n(args) -> int:
     return args.max_n
 
 
+_CHUNK = 1 << 16  # characters per write of a text document
+
+
 def _emit(args, doc) -> None:
     """Write ``doc`` to stdout or --output: a ``str`` as is, else JSON as it encodes."""
     if args.output is None:
@@ -99,10 +102,13 @@ def _emit(args, doc) -> None:
         out = path.open("w")
     with out as fh:
         if isinstance(doc, str):
-            fh.write(doc)
+            # In pieces: one large write reports a partial count, not a broken pipe.
+            for k in range(0, len(doc), _CHUNK):
+                fh.write(doc[k:k + _CHUNK])
         else:
             json.dump(doc, fh, indent=2)
             fh.write("\n")
+        fh.flush()  # a failed write of the last piece must fail the command too
 
 
 def tableau_graph_dot(graph: TableauGraph) -> str:

@@ -32,13 +32,18 @@ arc (a, 2n) first absorbs VV moves against the arcs ending in (a, b]
 b and 2n (decreasing).  That leaves the cup (b, b') isolated, where b' is
 the next live dot after b; the cup is set aside and the procedure recurses
 on the remaining dots.  A validated script certifies that the cup diagram
-of S appears as a leaf for the column matching of T.
+of S appears as a leaf for the column matching of T.  The construction and
+``check_witness``, which replays a script, keep the current matching and
+the target cup as partner arrays, lists indexed by dot whose entry d is
+the dot joined to d (entry 0 unused), next to a sorted list of live dots:
+each move is read off the arrays and applied by rewiring four entries,
+with no ``Matching`` built in between.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_left, insort
+from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -49,7 +54,6 @@ from .diagrams import (
     CupDiagram,
     Crossing,
     Matching,
-    column_matching,
     crossings,
     cup_of_tableau,
 )
@@ -290,13 +294,33 @@ def resolve_full(
     return {CupDiagram._trusted(arcs): mult for arcs, mult in expansion.items()}
 
 
+def _partners(arcs, n2: int) -> list[int]:
+    """The partner array of ``arcs``: entry d is the dot joined to d, entry 0 unused."""
+    partner = [0] * (n2 + 1)
+    for x, y in arcs:
+        partner[x] = y
+        partner[y] = x
+    return partner
+
+
+def _smooth(partner: list[int], crossing: Crossing, kind: MoveKind) -> None:
+    """``resolve_step`` on a partner array: rewire the four dots of ``crossing``."""
+    (a, c), (b, d) = crossing.left, crossing.right
+    if kind is MoveKind.VV:
+        partner[a], partner[b], partner[c], partner[d] = b, a, d, c
+    else:
+        partner[a], partner[d], partner[b], partner[c] = d, a, c, b
+
+
 def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
     """A move script from the column matching of ``t`` to the cup diagram of ``s``.
 
     Requires the top row of ``s`` to dominate the top row of ``t``
     componentwise.  Every move in the script resolves a genuine crossing
     of the current matching, and folding the script with ``resolve_step``
-    ends exactly at ``cup_of_tableau(s)``.
+    ends exactly at ``cup_of_tableau(s)``.  The current matching and the
+    target cup are partner arrays and the live dots a sorted list, so a
+    move is read off the arrays and applied by rewiring four entries.
     """
     if t.n != s.n:
         raise ValueError("tableaux must have the same n")
@@ -307,44 +331,41 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
                 f"top row of S must dominate top row of T; "
                 f"column {j + 1} has {a} < {b}",
             )
-    target = cup_of_tableau(s)
-    cur: Matching = column_matching(t.columns())
-    active = set(range(1, 2 * t.n + 1))
+    n2 = 2 * t.n
+    cur = _partners(t.columns(), n2)
+    target = _partners(cup_of_tableau(s).arcs, n2)
+    live = list(range(1, n2 + 1))
     moves: list[Move] = []
     level = 0
-    while active:
+    while live:
         level += 1
-        top_dot = max(active)
-        live_lefts = [x for x, y in cur.arcs if x in active and y in active]
-        a = max(live_lefts)
-        if cur.partner(top_dot) != a:
+        top_dot = live[-1]
+        a = next(d for d in reversed(live) if cur[d] > d)
+        if cur[top_dot] != a:
             raise RuntimeError(
                 f"witness construction failed at level {level}: "
                 f"dot {top_dot} is not matched to the rightmost left endpoint {a}"
             )
-        b = max(x for x, y in target.arcs if x in active and y in active)
+        b = next(d for d in reversed(live) if target[d] > d)
+        k = bisect_left(live, b)
         # Phase 1: VV against the arcs ending in (a, b], nearest first.
-        for r in sorted(d for d in active if a < d <= b):
-            left_arc = (cur.partner(r), r)
-            long_arc = (cur.partner(top_dot), top_dot)
-            move = Move(Crossing(left_arc, long_arc), MoveKind.VV)
-            cur = resolve_step(cur, move.crossing, move.kind)
+        for r in live[bisect_right(live, a):k + 1]:
+            move = Move(Crossing((cur[r], r), (cur[top_dot], top_dot)), MoveKind.VV)
+            _smooth(cur, move.crossing, MoveKind.VV)
             moves.append(move)
         # Phase 2: nested against the arcs ending strictly after b, farthest first.
-        for r in sorted((d for d in active if b < d < top_dot), reverse=True):
-            left_arc = (cur.partner(r), r)
-            long_arc = (b, cur.partner(b))
-            move = Move(Crossing(left_arc, long_arc), MoveKind.NESTED)
-            cur = resolve_step(cur, move.crossing, move.kind)
+        for r in reversed(live[k + 1:-1]):
+            move = Move(Crossing((cur[r], r), (b, cur[b])), MoveKind.NESTED)
+            _smooth(cur, move.crossing, MoveKind.NESTED)
             moves.append(move)
-        b_next = min(d for d in active if d > b)
-        if cur.partner(b) != b_next or target.partner(b) != b_next:
+        b_next = live[k + 1]
+        if cur[b] != b_next or target[b] != b_next:
             raise RuntimeError(
                 f"witness construction failed at level {level}: "
                 f"cup ({b},{b_next}) did not isolate"
             )
-        active -= {b, b_next}
-    if cur.arcs != target.arcs:
+        del live[k:k + 2]
+    if cur != target:
         raise RuntimeError("witness script did not end at the target diagram")
     return moves
 
@@ -352,14 +373,26 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
 def check_witness(
     t: StandardTableau, s: StandardTableau, script: Sequence[Move]
 ) -> bool:
-    """True iff the script is step-by-step valid and lands on the cup of ``s``."""
+    """True iff the script is step-by-step valid and lands on the cup of ``s``.
+
+    The script is replayed on the partner array of the column matching of
+    ``t``.  Each move passes the checks ``resolve_step`` makes: its four dots
+    are ints (``True`` and ``1.0`` are not) in 1..2n, and both of its arcs
+    are arcs of the current matching.
+    """
+    n2 = 2 * t.n
+    cur = _partners(t.columns(), n2)
     try:
-        cur: Matching = column_matching(t.columns())
         for move in script:
-            cur = resolve_step(cur, move.crossing, move.kind)
-        return cur == Matching(cup_of_tableau(s).arcs)
+            left, right = move.crossing.left, move.crossing.right
+            (a, c), (b, d) = left, right
+            if not (all(type(x) is int and 0 < x <= n2 for x in left + right)
+                    and cur[a] == c and cur[b] == d):
+                return False
+            _smooth(cur, move.crossing, move.kind)
     except ValueError:
         return False
+    return cur == _partners(cup_of_tableau(s).arcs, 2 * s.n)
 
 
 def resolution_graph_dot(graph: ResolutionGraph) -> str:

@@ -7,17 +7,22 @@ cache-free recursion, insertion left ends by removing and lowering arcs
 one at a time, and polytabloids are expanded over row tabloids directly
 from the signed-column-flip definition, and inverses by dense
 back-substitution.  Ranks are checked against the inversion count of the
-permutation that carries ``t0`` to a tableau.  One reference reuses a
-package kernel: ``psi_by_sweep`` straightens every cup in one sweep of the
+permutation that carries ``t0`` to a tableau.  Two references reuse
+package kernels: ``psi_by_sweep`` straightens every cup in one sweep of the
 Garnir kernel, the reference for ``verify_psi``'s straightening along
-graph edges.
+graph edges, and ``witness_by_matchings`` and ``check_by_steps`` build and
+replay witness scripts on validated ``Matching`` objects with
+``resolve_step``, the references for the partner-array ``witness_path``
+and ``check_witness``.
 """
 
 from dataclasses import dataclass
 from itertools import permutations
 
 from cupweb.actions import DEFAULT_STEP_BUDGET, _straighten
-from cupweb.diagrams import cup_of_tableau
+from cupweb.diagrams import Crossing, Matching, column_matching, cup_of_tableau
+from cupweb.errors import DominanceError
+from cupweb.resolution import Move, MoveKind, resolve_step
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -135,6 +140,57 @@ def psi_by_sweep(matrix):
         for c, coeff in vec.items():
             psi[c][row_of[cols]] = coeff
     return psi
+
+
+def witness_by_matchings(t, s):
+    """The witness script of ``t`` to ``s``, one validated matching per move.
+
+    The same construction as ``witness_path``: per level, VV moves of the
+    arc at the last live dot against the arcs ending in (a, b], nearest
+    first, then nested moves of the arc at b against the arcs ending
+    between b and the last live dot, farthest first; the cup (b, b')
+    is then set aside.
+    """
+    if t.n != s.n:
+        raise ValueError("tableaux must have the same n")
+    for j, (a, b) in enumerate(zip(s.top, t.top)):
+        if a < b:
+            raise DominanceError(j + 1, f"column {j + 1} has {a} < {b}")
+    target = cup_of_tableau(s)
+    cur = column_matching(t.columns())
+    active = set(range(1, 2 * t.n + 1))
+    moves = []
+    while active:
+        top_dot = max(active)
+        a = max(x for x, y in cur.arcs if x in active and y in active)
+        assert cur.partner(top_dot) == a
+        b = max(x for x, y in target.arcs if x in active and y in active)
+        for r in sorted(d for d in active if a < d <= b):
+            move = Move(Crossing((cur.partner(r), r), (cur.partner(top_dot), top_dot)),
+                        MoveKind.VV)
+            cur = resolve_step(cur, move.crossing, move.kind)
+            moves.append(move)
+        for r in sorted((d for d in active if b < d < top_dot), reverse=True):
+            move = Move(Crossing((cur.partner(r), r), (b, cur.partner(b))),
+                        MoveKind.NESTED)
+            cur = resolve_step(cur, move.crossing, move.kind)
+            moves.append(move)
+        b_next = min(d for d in active if d > b)
+        assert cur.partner(b) == b_next == target.partner(b)
+        active -= {b, b_next}
+    assert cur.arcs == target.arcs
+    return moves
+
+
+def check_by_steps(t, s, script):
+    """The script folded with ``resolve_step``; True iff it lands on the cup of ``s``."""
+    try:
+        cur = column_matching(t.columns())
+        for move in script:
+            cur = resolve_step(cur, move.crossing, move.kind)
+        return cur == Matching(cup_of_tableau(s).arcs)
+    except ValueError:
+        return False
 
 
 def polytabloid_model(columns):

@@ -411,13 +411,33 @@ class TestOutputFiles:
         assert (tmp_path / "out.csv").exists()
 
 
-def test_module_entry_point():
-    # The subprocess imports the same checkout as this test run.
+def _checkout_env():
+    """The environment of a subprocess that imports the same checkout as this run."""
     src = str(Path(cupweb.__file__).resolve().parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
+
+@pytest.mark.parametrize("argv", [["matrix", "-n", "7"],
+                                  ["enumerate", "-n", "8", "--format", "ascii"]])
+def test_broken_pipe_fails_the_command(argv):
+    # Both texts outgrow the pipe buffer, so a write blocks until the read end
+    # closes; unbuffered, the 100-byte read frees no room for the rest.
+    proc = subprocess.Popen([sys.executable, "-m", "cupweb", *argv], bufsize=0,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=_checkout_env())
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert re.fullmatch(r"error: .*Broken pipe\n", err)
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "cupweb", "enumerate", "-n", "1"],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True, text=True, env=_checkout_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == [

@@ -38,8 +38,10 @@ from _oracles import (
     all_pairings,
     brute_crossing_pairs,
     brute_resolve,
+    check_by_steps,
     peel_by_lowering,
     random_matching_arcs,
+    witness_by_matchings,
 )
 
 S_FIVE = StandardTableau((1, 3, 4, 6, 9), (2, 5, 7, 8, 10))
@@ -237,6 +239,50 @@ WALKTHROUGH = [
 ]
 
 
+def _dominating_pairs(n):
+    tableaux = enumerate_syt(n)
+    return [(t, s) for s in tableaux for t in tableaux if first_row_dominates(s, t)]
+
+
+def _flipped(move):
+    other = MoveKind.NESTED if move.kind is MoveKind.VV else MoveKind.VV
+    return Move(move.crossing, other)
+
+
+FLAT = StandardTableau((1, 2), (3, 4))  # column matching (1,3), (2,4): partners 3, 4, 1, 2
+WALK = witness_by_matchings(T_FIVE, S_FIVE)
+MALFORMED = {  # (t, s, script); each fails the ``Matching`` fold too
+    # Dot 0 and the dots past 2n index no entry; -1 would wrap to 2n = 4.
+    "dot 0": (FLAT, t0(2), [Move(Crossing((0, 3), (2, 4)), MoveKind.VV)]),
+    "dot -1": (FLAT, t0(2), [Move(Crossing((-1, 2), (1, 3)), MoveKind.VV)]),
+    "dot 2n + 1": (FLAT, t0(2), [Move(Crossing((1, 3), (2, 5)), MoveKind.VV)]),
+    "left end 2n + 1": (FLAT, t0(2), [Move(Crossing((5, 7), (6, 8)), MoveKind.VV)]),
+    # -5 indexes dot 2 of 6, and the second move overwrites the -5 the first
+    # leaves behind: replayed with the wrap, the script lands on the target.
+    "dot -5 wraps": (StandardTableau((1, 2, 4), (3, 5, 6)), t0(3), [
+        Move(Crossing((-5, 5), (4, 6)), MoveKind.VV),
+        Move(Crossing((1, 3), (2, 4)), MoveKind.VV)]),
+    "dot True": (FLAT, t0(2), [Move(Crossing((True, 3), (2, 4)), MoveKind.VV)]),
+    "dot 1.0": (FLAT, t0(2), [Move(Crossing((1.0, 3), (2, 4)), MoveKind.VV)]),
+    "right end 3.0": (FLAT, t0(2), [Move(Crossing((1, 3.0), (2, 4)), MoveKind.VV)]),
+    # One arc of the first move is no arc of the source; replayed unchecked,
+    # the second move would repair the damage and land on the target.
+    "missing right arc": (StandardTableau((1, 2, 5), (3, 4, 6)), t0(3), [
+        Move(Crossing((1, 3), (2, 5)), MoveKind.VV),
+        Move(Crossing((3, 5), (4, 6)), MoveKind.VV)]),
+    "missing left arc": (StandardTableau((1, 3, 4), (2, 5, 6)), t0(3), [
+        Move(Crossing((2, 5), (4, 6)), MoveKind.VV),
+        Move(Crossing((1, 3), (2, 4)), MoveKind.VV)]),
+    "missing arc mid-script": (T_FIVE, S_FIVE,
+                               WALK[:2] + [Move(Crossing((1, 3), (2, 6)), MoveKind.VV)]
+                               + WALK[3:]),
+    "wrong kind": (T_FIVE, S_FIVE, WALK[:3] + [_flipped(WALK[3])] + WALK[4:]),
+    "cut short": (T_FIVE, S_FIVE, WALK[:-1]),
+    "extra move": (T_FIVE, S_FIVE, WALK + WALK[-1:]),
+    "empty on crossings": (FLAT, t0(2), []),
+}
+
+
 class TestWitnessPath:
     def test_base_tableau_is_empty(self):
         assert witness_path(t0(4), t0(4)) == []
@@ -272,12 +318,27 @@ class TestWitnessPath:
             witness_path(S_FIVE, T_FIVE)
         assert info.value.column == 2
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_all_dominating_pairs(self, n):
-        for s in enumerate_syt(n):
-            for t in enumerate_syt(n):
-                if first_row_dominates(s, t):
-                    assert check_witness(t, s, witness_path(t, s))
+        # Move for move the script of the validated-matching construction.
+        pairs = _dominating_pairs(n)
+        assert len(pairs) == [1, 3, 14, 84, 594, 4719][n - 1]
+        for t, s in pairs:
+            script = witness_path(t, s)
+            assert script == witness_by_matchings(t, s)
+            assert check_witness(t, s, script)
+
+    def test_seeded_pairs_n8(self):
+        rng = random.Random(8)
+        tableaux = enumerate_syt(8)
+        done = 0
+        while done < 200:
+            t, s = rng.choice(tableaux), rng.choice(tableaux)
+            if first_row_dominates(s, t):
+                script = witness_path(t, s)
+                assert script == witness_by_matchings(t, s)
+                assert check_witness(t, s, script) and check_by_steps(t, s, script)
+                done += 1
 
     def test_every_move_is_a_genuine_crossing(self):
         # resolve_step validates each step, so a completed fold proves it;
@@ -320,6 +381,17 @@ class TestCheckWitness:
     def test_invalid_step_fails(self):
         script = [Move(Crossing((1, 3), (2, 4)), MoveKind.VV)]
         assert not check_witness(t0(2), t0(2), script)
+
+    @pytest.mark.parametrize("name", list(MALFORMED))
+    def test_malformed_script_verdict(self, name):
+        t, s, script = MALFORMED[name]
+        assert check_witness(t, s, script) is check_by_steps(t, s, script) is False
+
+    def test_sizes_differ(self):
+        script = witness_path(FLAT, t0(2))
+        assert check_witness(FLAT, t0(3), script) is check_by_steps(FLAT, t0(3), script)
+        with pytest.raises(ValueError):
+            witness_path(FLAT, t0(3))
 
     def test_move_json_round_trip(self):
         move = Move(Crossing((1, 3), (2, 4)), MoveKind.NESTED)
