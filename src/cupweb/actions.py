@@ -5,11 +5,12 @@ Coefficient arithmetic is plain Python integers throughout, so every
 computation is exact.  Column fillings are kept in a signed normal form:
 each column lists its smaller entry first (a swap costs a sign) and
 columns are sorted by top entry (free).  The three-term straightening
-rule rewrites a filling whose bottom row has a descent:
+rule rewrites a filling whose bottom row is not increasing:
 
     with columns (a/b), (c/x) where a < c < x < b,
     v = v[(a/x), (c/b)] - v[(a/c), (x/b)]
 
+at any such nested pair, adjacent or not, as column order is free; it is
 applied until every bottom row is increasing.  Only the two named columns
 change in a rewrite; all others are carried along untouched.
 """
@@ -17,7 +18,6 @@ change in a rewrite; all others are carried along untouched.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from typing import Hashable, Iterable, Mapping, Sequence, Union
@@ -72,7 +72,8 @@ class TwoRowTableau:
         return tuple(b for _, b in self.columns)
 
     def is_standard(self) -> bool:
-        return _first_descent(self.columns) is None
+        cols = self.columns
+        return all(cols[j][1] < cols[j + 1][1] for j in range(len(cols) - 1))
 
     def to_standard(self) -> StandardTableau:
         return StandardTableau(self.top, self.bottom)
@@ -289,23 +290,6 @@ def act_web(i: int, v: DiagramVector) -> DiagramVector:
     return to_web_basis(act_matching(i, v))
 
 
-def _first_descent(columns: tuple[tuple[int, int], ...]) -> int | None:
-    for j in range(len(columns) - 1):
-        if columns[j][1] > columns[j + 1][1]:
-            return j
-    return None
-
-
-def _garnir_key(columns: tuple[tuple[int, int], ...]) -> tuple[int, int]:
-    """Top-row sum, then minus the bottom-row inversions."""
-    inversions = 0
-    seen: list[int] = []  # sorted bottom entries right of the current column
-    for _, b in reversed(columns):
-        inversions += bisect_left(seen, b)
-        insort(seen, b)
-    return sum(a for a, _ in columns), -inversions
-
-
 def _straighten(
     seeds: Mapping[tuple[tuple[int, int], ...], Mapping[Hashable, int]],
     step_budget: int,
@@ -315,26 +299,33 @@ def _straighten(
 
     Each seed is a filling in normal form, as both rewrite children are,
     with a ``{label: coeff}`` vector; a label whose terms cancel may stay
-    with coefficient 0.  Fillings are popped in Garnir order, ``_garnir_key``
-    ascending.  Both children of a rewrite come strictly later (the
-    keep-order child has one inversion less, the re-sorted one a larger
-    top-row sum), so each filling, however many seeds share it, is popped
-    after all its parents, with its final vector, and expanded once;
-    ``step_budget`` bounds these expansions plus the ``spent`` ones of
-    earlier sweeps, and the running total is returned with the expansions.
+    with coefficient 0.  A filling is rewritten at the nested pair (a/b),
+    (c/x): x is the least bottom entry below an earlier, larger one, and
+    (a/b) the first column with b > x.  Both children keep every column
+    before (a/b) and lower its bottom, to x or to c, so fillings are popped
+    by bottom row, largest first, each after all its parents, with its
+    final vector, and expanded once; ``step_budget`` bounds these
+    expansions plus the ``spent`` ones of earlier sweeps, and the running
+    total is returned with the expansions.
     """
     vectors = {cols: dict(vec) for cols, vec in seeds.items()}
-    heap = [(*_garnir_key(cols), cols) for cols in vectors]
+    heap = [(tuple([-b for _, b in cols]), cols) for cols in vectors]
     heapify(heap)
     out = {}
     steps = spent
     while heap:
-        top_sum, neg_inversions, cols = heappop(heap)
+        cols = heappop(heap)[1]
         vec = vectors.pop(cols)
         if not any(vec.values()):
             continue
-        j = _first_descent(cols)
-        if j is None:
+        bottoms = [b for _, b in cols]
+        high = x = 0  # entries start at 1: x = 0 while no bottom is nested
+        for b in bottoms:
+            if b > high:
+                high = b
+            elif not x or b < x:
+                x = b
+        if not x:
             out[cols] = vec
             continue
         steps += 1
@@ -342,19 +333,21 @@ def _straighten(
             raise SizeLimitError(
                 f"straightening exceeded {step_budget} rewrite steps"
             )
-        a, b = cols[j]
-        c, x = cols[j + 1]
-        # normal form guarantees a < c < x < b here
-        keep_order = cols[:j] + ((a, x), (c, b)) + cols[j + 2:]
-        resorted = tuple(sorted(cols[:j] + ((a, c), (x, b)) + cols[j + 2:]))
+        k = bottoms.index(x)
+        i = 0
+        while bottoms[i] < x:  # stops before k, at the first bottom above x
+            i += 1
+        a, b = cols[i]
+        c = cols[k][0]
+        # normal form and i < k give a < c < x < b here
+        head, between, tail = cols[:i], cols[i + 1:k], cols[k + 1:]
+        keep_order = head + ((a, x),) + between + ((c, b),) + tail
+        resorted = head + ((a, c),) + tuple(sorted(between + tail + ((x, b),)))
         for child, sign in ((keep_order, 1), (resorted, -1)):
             target = vectors.get(child)
             if target is None:
                 target = vectors[child] = {}
-                if child is keep_order:
-                    heappush(heap, (top_sum, neg_inversions + 1, child))
-                else:
-                    heappush(heap, (*_garnir_key(child), child))
+                heappush(heap, (tuple([-e for _, e in child]), child))
             for label, coeff in vec.items():
                 target[label] = target.get(label, 0) + sign * coeff
     return out, steps

@@ -97,6 +97,9 @@ class Crossing:
     right: tuple[int, int]
 
     def __post_init__(self):
+        # Arcs are stored as tuples, so a crossing hashes and compares by value.
+        object.__setattr__(self, "left", tuple(self.left))
+        object.__setattr__(self, "right", tuple(self.right))
         a, c = self.left
         b, d = self.right
         if not a < b < c < d:

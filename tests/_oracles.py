@@ -7,21 +7,26 @@ cache-free recursion, insertion left ends by removing and lowering arcs
 one at a time, and polytabloids are expanded over row tabloids directly
 from the signed-column-flip definition, and inverses by dense
 back-substitution.  Ranks are checked against the inversion count of the
-permutation that carries ``t0`` to a tableau.  Two references reuse
-package kernels: ``psi_by_sweep`` straightens every cup in one sweep of the
-Garnir kernel, the reference for ``verify_psi``'s straightening along
-graph edges, and ``witness_by_matchings`` and ``check_by_steps`` build and
-replay witness scripts on validated ``Matching`` objects with
-``resolve_step``, the references for the partner-array ``witness_path``
-and ``check_witness``.
+permutation that carries ``t0`` to a tableau.  Straightening has a
+kernel of its own here: ``straighten_by_first_descent`` rewrites at the
+first bottom-row descent and pops fillings in Garnir order, the reference
+for the package kernel, which rewrites at the least nested bottom entry;
+``psi_by_sweep`` straightens every cup with it in one sweep, the
+reference for ``verify_psi``'s straightening along graph edges.  Two
+references reuse package code: ``witness_by_matchings`` and
+``check_by_steps`` build and replay witness scripts on validated
+``Matching`` objects with ``resolve_step``, the references for the
+partner-array ``witness_path`` and ``check_witness``.
 """
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import permutations
 
-from cupweb.actions import DEFAULT_STEP_BUDGET, _straighten
+from cupweb.actions import DEFAULT_STEP_BUDGET
 from cupweb.diagrams import Crossing, Matching, column_matching, cup_of_tableau
-from cupweb.errors import DominanceError
+from cupweb.errors import DominanceError, SizeLimitError
 from cupweb.resolution import Move, MoveKind, resolve_step
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
@@ -125,8 +130,73 @@ def dense_inverse(entries):
     return tuple(tuple(row) for row in inverse)
 
 
+def _first_descent(columns):
+    for j in range(len(columns) - 1):
+        if columns[j][1] > columns[j + 1][1]:
+            return j
+    return None
+
+
+def _garnir_key(columns):
+    """Top-row sum, then minus the bottom-row inversions."""
+    inversions = 0
+    seen = []  # sorted bottom entries right of the current column
+    for _, b in reversed(columns):
+        inversions += bisect_left(seen, b)
+        insort(seen, b)
+    return sum(a for a, _ in columns), -inversions
+
+
+def straighten_by_first_descent(seeds, step_budget, spent=0):
+    """Straighten every seed in one sweep, rewriting at the first descent.
+
+    The same contract as ``cupweb.actions._straighten``: seeds map normal-form
+    columns to ``{label: coeff}``, the result maps standard columns to
+    ``{label: coeff}`` and comes with the running count of expansions.
+    Fillings are popped in Garnir order, ``_garnir_key`` ascending: the
+    keep-order child of a rewrite has one inversion less, the re-sorted one
+    a larger top-row sum, so each filling is expanded once, after all its
+    parents.
+    """
+    vectors = {cols: dict(vec) for cols, vec in seeds.items()}
+    heap = [(*_garnir_key(cols), cols) for cols in vectors]
+    heapify(heap)
+    out = {}
+    steps = spent
+    while heap:
+        top_sum, neg_inversions, cols = heappop(heap)
+        vec = vectors.pop(cols)
+        if not any(vec.values()):
+            continue
+        j = _first_descent(cols)
+        if j is None:
+            out[cols] = vec
+            continue
+        steps += 1
+        if steps > step_budget:
+            raise SizeLimitError(
+                f"straightening exceeded {step_budget} rewrite steps"
+            )
+        a, b = cols[j]
+        c, x = cols[j + 1]
+        # normal form guarantees a < c < x < b here
+        keep_order = cols[:j] + ((a, x), (c, b)) + cols[j + 2:]
+        resorted = tuple(sorted(cols[:j] + ((a, c), (x, b)) + cols[j + 2:]))
+        for child, sign in ((keep_order, 1), (resorted, -1)):
+            target = vectors.get(child)
+            if target is None:
+                target = vectors[child] = {}
+                if child is keep_order:
+                    heappush(heap, (top_sum, neg_inversions + 1, child))
+                else:
+                    heappush(heap, (*_garnir_key(child), child))
+            for label, coeff in vec.items():
+                target[label] = target.get(label, 0) + sign * coeff
+    return out, steps
+
+
 def psi_by_sweep(matrix):
-    """Every cup of ``matrix``'s index straightened in one Garnir sweep.
+    """Every cup of ``matrix``'s index straightened in one first-descent sweep.
 
     Each cup is seeded under its own column, as ``verify_psi`` once did;
     column c is ``{row: coeff}`` over the matrix's index, and a term whose
@@ -135,7 +205,7 @@ def psi_by_sweep(matrix):
     row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
     seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
     psi = [{} for _ in matrix.index]
-    out, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
+    out, _ = straighten_by_first_descent(seeds, DEFAULT_STEP_BUDGET)
     for cols, vec in out.items():
         for c, coeff in vec.items():
             psi[c][row_of[cols]] = coeff

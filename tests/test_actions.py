@@ -27,7 +27,13 @@ from cupweb import (
     transition_matrix,
     verify_psi,
 )
-from _oracles import act_model, all_pairings, model_of_vector
+from cupweb.actions import DEFAULT_STEP_BUDGET, _straighten
+from _oracles import (
+    act_model,
+    all_pairings,
+    model_of_vector,
+    straighten_by_first_descent,
+)
 
 T_FOUR = StandardTableau((1, 2, 4, 7), (3, 5, 6, 8))
 R_FOUR = StandardTableau((1, 2, 4, 6), (3, 5, 7, 8))
@@ -61,13 +67,26 @@ def smallest_step_budget(tab: TwoRowTableau) -> int:
 
 
 def rewrite_children(tab: TwoRowTableau) -> list[TwoRowTableau]:
-    """The two fillings of one three-term rewrite at the first descent."""
+    """The two fillings of the three-term rewrite the kernel makes first.
+
+    The pair is (a/b), (c/x): x is the least bottom entry with a larger
+    bottom entry left of it, and (a/b) the first column with b > x.
+    """
     cols = tab.columns
-    j = next(j for j in range(len(cols) - 1) if cols[j][1] > cols[j + 1][1])
-    (a, b), (c, x) = cols[j], cols[j + 1]
-    rest = cols[:j] + cols[j + 2:]
+    x = min(b for k, (_, b) in enumerate(cols)
+            if any(b2 > b for _, b2 in cols[:k]))
+    i = next(j for j, (_, b) in enumerate(cols) if b > x)
+    k = next(j for j, (_, b) in enumerate(cols) if b == x)
+    (a, b), c = cols[i], cols[k][0]
+    rest = tuple(col for j, col in enumerate(cols) if j not in (i, k))
     return [canonicalize_columns(rest + pair)[0]
             for pair in (((a, x), (c, b)), ((a, c), (x, b)))]
+
+
+def nonzero_expansion(out: dict) -> dict:
+    """A kernel's ``{columns: {label: coeff}}`` without zero coefficients."""
+    return {cols: {label: c for label, c in vec.items() if c}
+            for cols, vec in out.items() if any(vec.values())}
 
 
 def unit(tableau: StandardTableau) -> TabloidVector:
@@ -360,6 +379,47 @@ class TestStraightening:
             assert garnir_straighten(vec) == expected
             per_key = sum(smallest_step_budget(key) for key in terms)
             assert smallest_step_budget(vec) <= per_key
+
+    def test_rewrite_children_are_the_kernels(self):
+        # The first rewrite leaves the two children with coefficients 1 and
+        # -1, and the sweep goes on as one seeded with just them.
+        rng = random.Random(19)
+        checked = 0
+        while checked < 20:
+            tab = random_filling(rng, rng.randint(2, 6))
+            if tab.is_standard():
+                continue
+            keep_order, resorted = rewrite_children(tab)
+            children = TabloidVector(tab.n, {keep_order: 1, resorted: -1})
+            assert smallest_step_budget(tab) == 1 + smallest_step_budget(children)
+            checked += 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_equals_first_descent_on_every_filling(self, n):
+        for cols in all_pairings(range(1, 2 * n + 1)):
+            seeds = {cols: {None: 1}}
+            got, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
+            want, _ = straighten_by_first_descent(seeds, DEFAULT_STEP_BUDGET)
+            assert nonzero_expansion(got) == nonzero_expansion(want)
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_equals_first_descent_on_seeded_vectors(self, n):
+        # Several seeds, some sharing a rewrite child, each with a vector
+        # over several labels; zero coefficients may differ, so both sides
+        # drop them.
+        rng = random.Random(1900 + n)
+        for _ in range(4):
+            fillings = [random_filling(rng, n) for _ in range(rng.randint(2, 4))]
+            if not fillings[0].is_standard():
+                fillings += rewrite_children(fillings[0])
+            seeds = {
+                tab.columns: {label: rng.choice([-2, -1, 1, 2])
+                              for label in rng.sample("abcd", rng.randint(1, 3))}
+                for tab in fillings
+            }
+            got, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
+            want, _ = straighten_by_first_descent(seeds, DEFAULT_STEP_BUDGET)
+            assert nonzero_expansion(got) == nonzero_expansion(want)
 
 
 class TestIntertwining:

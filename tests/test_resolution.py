@@ -75,6 +75,16 @@ class TestResolveStep:
     def test_rejects_foreign_crossing(self):
         with pytest.raises(ValueError):
             resolve_step(THREE_COLUMN, Crossing((1, 4), (2, 6)), MoveKind.VV)
+        with pytest.raises(ValueError):
+            resolve_step(THREE_COLUMN, Crossing([1, 4], [2, 6]), MoveKind.VV)
+
+    def test_list_arcs_are_smoothed(self):
+        m = Matching([(1, 3), (2, 4)])
+        c = Crossing([1, 3], [2, 4])
+        assert c == Crossing((1, 3), (2, 4))
+        assert hash(c) == hash(Crossing((1, 3), (2, 4)))
+        assert resolve_step(m, c, MoveKind.VV) == Matching([(1, 2), (3, 4)])
+        assert resolve_step(m, c, MoveKind.NESTED) == Matching([(1, 4), (2, 3)])
 
     def test_rejects_non_int_dots(self):
         # True == 1 and 1.0 == 1 pass the membership test; the step must
