@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
+from operator import attrgetter
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
@@ -42,6 +43,8 @@ class TwoRowTableau:
     columns: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
+        # Columns are stored as tuples, so a filling hashes and compares by value.
+        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
         entries = [e for col in self.columns for e in col]
         if not is_permutation(entries):
             raise ValueError("entries must be a permutation of 1..2n")
@@ -119,7 +122,14 @@ def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 class _SparseVector:
-    """Shared integer-combination plumbing for the two vector types."""
+    """Integer combinations of keys of one size, shared by the two vector types.
+
+    A subclass names its key class, the size attribute that its keys and
+    vectors share (``_size_name``), the key's tuple form that orders the JSON
+    records (``_order``), and ``_parse``, which reads one JSON record into a
+    key and the sign it costs.  Constructors check keys and coefficients;
+    arithmetic on checked operands builds through ``_trusted``.
+    """
 
     __slots__ = ("size", "terms")
 
@@ -127,42 +137,43 @@ class _SparseVector:
         clean = {}
         if terms:
             for key, coeff in terms.items():
-                if coeff:
-                    self._check_key(key, size)
+                if _exact(coeff):
+                    if (not isinstance(key, self._key)
+                            or getattr(key, self._size_name) != size):
+                        raise ValueError(f"bad key {key!r} for {self._size_name}={size}")
                     clean[key] = coeff
         self.size = size
         self.terms = clean
 
     @classmethod
     def _trusted(cls, size: int, terms: dict):
-        """A vector on ``terms`` as given: nonzero coefficients, valid keys."""
+        """A vector on ``terms`` as given: nonzero int coefficients, valid keys."""
         v = object.__new__(cls)
         v.size = size
         v.terms = terms
         return v
 
-    def _check_key(self, key, size) -> None:
-        raise NotImplementedError
-
-    def _same(self, other) -> None:
-        if type(other) is not type(self) or other.size != self.size:
-            raise ValueError("operands do not live in the same space")
+    @classmethod
+    def unit(cls, key, coeff: int = 1):
+        return cls(getattr(key, cls._size_name), {key: coeff})
 
     def __add__(self, other):
-        self._same(other)
+        if type(other) is not type(self) or other.size != self.size:
+            raise ValueError("operands do not live in the same space")
         merged = dict(self.terms)
         for key, coeff in other.terms.items():
             merged[key] = merged.get(key, 0) + coeff
-        return type(self)(self.size, merged)
+        return self._trusted(self.size, {k: c for k, c in merged.items() if c})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return type(self)(self.size, {k: -c for k, c in self.terms.items()})
+        return self._trusted(self.size, {k: -c for k, c in self.terms.items()})
 
     def __rmul__(self, scalar: int):
-        return type(self)(self.size, {k: scalar * c for k, c in self.terms.items()})
+        terms = {k: scalar * c for k, c in self.terms.items()} if _exact(scalar) else {}
+        return self._trusted(self.size, terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -184,84 +195,65 @@ class _SparseVector:
             self.terms.items(), key=lambda kv: repr(kv[0])))
         return f"{type(self).__name__}({bits})"
 
+    def to_json(self) -> list[dict]:
+        out = []
+        for key in sorted(self.terms, key=attrgetter(self._order)):
+            rec = key.to_json()
+            rec["coeff"] = str(self.terms[key])
+            out.append(rec)
+        return out
+
+    @classmethod
+    def from_json(cls, size: int, data: list[dict]):
+        terms = {}
+        for rec in data:
+            key, sign = cls._parse(rec)
+            terms[key] = terms.get(key, 0) + sign * _coefficient(rec["coeff"])
+        return cls(size, terms)
+
+
+def _exact(value) -> int:
+    """``value`` when it is an int that is not a bool."""
+    if type(value) is not int:
+        raise ValueError(f"coefficient {value!r} is not an integer")
+    return value
+
 
 def _coefficient(value) -> int:
     """A JSON coefficient: a decimal string, or an int that is not a bool."""
-    if type(value) is int:
-        return value
     if type(value) is str and re.fullmatch(r"[+-]?[0-9]+", value):
         return int(value)
-    raise ValueError(f"coefficient {value!r} is not an integer")
+    return _exact(value)
 
 
 class TabloidVector(_SparseVector):
     """Integer combination of two-row fillings in normal form; ``size`` is n."""
 
     __slots__ = ()
-
-    def _check_key(self, key, size) -> None:
-        if not isinstance(key, TwoRowTableau) or key.n != size:
-            raise ValueError(f"bad key {key!r} for n={size}")
+    _key, _size_name, _order = TwoRowTableau, "n", "columns"
 
     @property
     def n(self) -> int:
         return self.size
 
-    @classmethod
-    def unit(cls, tableau: TwoRowTableau, coeff: int = 1) -> "TabloidVector":
-        return cls(tableau.n, {tableau: coeff})
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for key in sorted(self.terms, key=lambda k: k.columns):
-            rec = key.to_json()
-            rec["coeff"] = str(self.terms[key])
-            out.append(rec)
-        return out
-
-    @classmethod
-    def from_json(cls, n: int, data: list[dict]) -> "TabloidVector":
-        terms = {}
-        for rec in data:
-            key, sign = canonicalize_columns(
-                tuple(zip(rec["top"], rec["bottom"]))
-            )
-            terms[key] = terms.get(key, 0) + sign * _coefficient(rec["coeff"])
-        return cls(n, terms)
+    @staticmethod
+    def _parse(rec: dict) -> tuple[TwoRowTableau, int]:
+        return canonicalize_columns(tuple(zip(rec["top"], rec["bottom"])))
 
 
 class DiagramVector(_SparseVector):
     """Integer combination of matchings; ``size`` is the dot count 2n."""
 
     __slots__ = ()
-
-    def _check_key(self, key, size) -> None:
-        if not isinstance(key, Matching) or key.n2 != size:
-            raise ValueError(f"bad key {key!r} for n2={size}")
+    _key, _size_name, _order = Matching, "n2", "arcs"
 
     @property
     def n2(self) -> int:
         return self.size
 
-    @classmethod
-    def unit(cls, m: Matching, coeff: int = 1) -> "DiagramVector":
-        return cls(m.n2, {m: coeff})
-
-    def to_json(self) -> list[dict]:
-        out = []
-        for key in sorted(self.terms, key=lambda k: k.arcs):
-            rec = key.to_json()
-            rec["coeff"] = str(self.terms[key])
-            out.append(rec)
-        return out
-
-    @classmethod
-    def from_json(cls, n2: int, data: list[dict]) -> "DiagramVector":
-        terms = {}
-        for rec in data:
-            key = Matching(rec["arcs"])
-            terms[key] = terms.get(key, 0) + _coefficient(rec["coeff"])
-        return cls(n2, terms)
+    @staticmethod
+    def _parse(rec: dict) -> tuple[Matching, int]:
+        return Matching(rec["arcs"]), 1
 
 
 def act_matching(i: int, v: DiagramVector) -> DiagramVector:

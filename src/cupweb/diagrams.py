@@ -16,14 +16,13 @@ from .young import StandardTableau, is_permutation
 class Matching:
     """An involution on {1..2n} without fixed points, kept in arc-list form."""
 
-    __slots__ = ("arcs", "_partner")
+    __slots__ = ("arcs",)
 
     def __init__(self, arcs: Iterable[Sequence[int]]):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
         if not is_permutation([d for arc in canon for d in arc]):
             raise ValueError("arcs must cover each dot 1..2n exactly once")
-        object.__setattr__(self, "arcs", canon)
-        object.__setattr__(self, "_partner", None)
+        self.arcs = canon
 
     @classmethod
     def _trusted(cls, arcs: tuple) -> "Matching":
@@ -34,7 +33,6 @@ class Matching:
         """
         m = object.__new__(cls)
         m.arcs = arcs
-        m._partner = None
         return m
 
     @property
@@ -42,14 +40,13 @@ class Matching:
         return 2 * len(self.arcs)
 
     def partner(self, dot: int) -> int:
-        table = self._partner
-        if table is None:
-            table = {}
-            for a, b in self.arcs:
-                table[a] = b
-                table[b] = a
-            object.__setattr__(self, "_partner", table)
-        return table[dot]
+        """The dot joined to ``dot``; ``KeyError`` for a dot not in the matching."""
+        for a, b in self.arcs:
+            if dot == a:
+                return b
+            if dot == b:
+                return a
+        raise KeyError(dot)
 
     def left_endpoints(self) -> tuple[int, ...]:
         return tuple(a for a, _ in self.arcs)

@@ -50,6 +50,9 @@ class StandardTableau:
     bottom: tuple[int, ...]
 
     def __post_init__(self):
+        # Rows are stored as tuples, so a tableau hashes and compares by value.
+        object.__setattr__(self, "top", tuple(self.top))
+        object.__setattr__(self, "bottom", tuple(self.bottom))
         n = len(self.top)
         if n < 1 or len(self.bottom) != n:
             raise ValueError("rows must be nonempty and of equal length")
@@ -96,7 +99,7 @@ class StandardTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "StandardTableau":
-        return cls(tuple(data["top"]), tuple(data["bottom"]))
+        return cls(data["top"], data["bottom"])
 
     def __repr__(self) -> str:
         return f"StandardTableau({self.row_word()!r})"
@@ -281,7 +284,7 @@ def paths_between(graph: TableauGraph, src: StandardTableau,
             found.append(list(labels))
             return limit is not None and len(found) >= limit
         for b, i in out_edges[v]:
-            if not leq(graph.vertices[b], graph.vertices[goal], graph):
+            if not graph.descendants[b] >> goal & 1:
                 continue
             labels.append(i)
             if walk(b, labels):

@@ -1,6 +1,9 @@
+import json
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cupweb import (
     DiagramVector,
@@ -118,6 +121,16 @@ class TestTwoRowTableau:
         with pytest.raises(ValueError):
             TwoRowTableau(cols)
 
+    def test_columns_built_from_lists_are_tuples(self):
+        listed = TwoRowTableau([[1, 4], [2, 3]])
+        nested = TwoRowTableau(((1, 4), (2, 3)))
+        assert listed.columns == ((1, 4), (2, 3))
+        assert listed == nested and hash(listed) == hash(nested)
+        assert garnir_straighten(listed) == (
+            TabloidVector.unit(FLAT_TWO) - TabloidVector.unit(BASE_TWO))
+        assert garnir_straighten(TwoRowTableau([[1, 3], [2, 4]])) == (
+            TabloidVector.unit(FLAT_TWO))
+
     def test_canonicalize_sign(self):
         tab, sign = canonicalize_columns([(2, 1), (3, 4)])
         assert (tab, sign) == (BASE_TWO, -1)
@@ -128,31 +141,54 @@ class TestTwoRowTableau:
         assert TwoRowTableau.from_standard(T_FOUR).to_standard() == T_FOUR
 
 
+# One space per vector type: the class, its size, two keys of that size and
+# a key of another size.  Each case of ``TestVectors`` runs in both.
+SPACES = [
+    (TabloidVector, 2, FLAT_TWO, BASE_TWO, TwoRowTableau(((1, 2), (3, 4), (5, 6)))),
+    (DiagramVector, 4, Matching([(1, 3), (2, 4)]), Matching([(1, 2), (3, 4)]),
+     Matching([(1, 2), (3, 4), (5, 6)])),
+]
+SPACE_IDS = [space[0].__name__ for space in SPACES]
+INEXACT = [1.5, -2.0, True, False, "1", None]
+
+
 class TestVectors:
     def test_algebra(self):
-        a = TabloidVector.unit(FLAT_TWO)
-        b = TabloidVector.unit(BASE_TWO, 2)
-        combo = 3 * a - b
-        assert combo.terms == {FLAT_TWO: 3, BASE_TWO: -2}
-        assert (combo - combo).is_zero()
+        for cls, _, a_key, b_key, _ in SPACES:
+            a = cls.unit(a_key)
+            b = cls.unit(b_key, 2)
+            combo = 3 * a - b
+            assert combo.terms == {a_key: 3, b_key: -2}
+            assert (combo - combo).is_zero()
+            assert -combo == (-1) * combo == b - 3 * a
 
     def test_zero_coefficients_dropped(self):
-        v = TabloidVector(2, {FLAT_TWO: 0})
-        assert v.is_zero()
+        for cls, size, key, _, _ in SPACES:
+            assert cls(size, {key: 0}).is_zero()
+            assert (cls.unit(key) - cls.unit(key)).terms == {}
+            assert (0 * cls.unit(key)).terms == {}
 
     def test_key_validation(self):
-        with pytest.raises(ValueError):
-            TabloidVector(3, {FLAT_TWO: 1})
-        with pytest.raises(ValueError):
-            DiagramVector(6, {Matching([(1, 2)]): 1})
+        for (cls, size, key, _, other), (_, _, foreign, _, _) in zip(SPACES, SPACES[::-1]):
+            with pytest.raises(ValueError, match="bad key"):
+                cls(size + 2, {key: 1})
+            with pytest.raises(ValueError, match="bad key"):
+                cls(size, {other: 1})
+            with pytest.raises(ValueError, match="bad key"):
+                cls(size, {foreign: 1})
 
     def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            TabloidVector.unit(FLAT_TWO) + TabloidVector(3, {})
+        for (cls, size, key, _, _), (other_cls, other_size, _, _, _) in zip(
+                SPACES, SPACES[::-1]):
+            with pytest.raises(ValueError):
+                cls.unit(key) + cls(size + 2, {})
+            with pytest.raises(ValueError):
+                cls.unit(key) - other_cls(other_size, {})
 
     def test_json(self):
-        v = TabloidVector.unit(FLAT_TWO) - 2 * TabloidVector.unit(BASE_TWO)
-        assert TabloidVector.from_json(2, v.to_json()) == v
+        for cls, size, a_key, b_key, _ in SPACES:
+            v = cls.unit(a_key) - 2 * cls.unit(b_key)
+            assert cls.from_json(size, v.to_json()) == v
         d = DiagramVector.unit(Matching([(1, 2), (3, 4)]), 5)
         assert DiagramVector.from_json(4, d.to_json()) == d
         assert DiagramVector.from_json(4, [{"arcs": [[1, 2], [3, 4]], "coeff": 5}]) == d
@@ -164,6 +200,77 @@ class TestVectors:
             TabloidVector.from_json(2, [tabloid])
         with pytest.raises(ValueError, match="coefficient"):
             DiagramVector.from_json(4, [{"arcs": [[1, 2], [3, 4]], "coeff": coeff}])
+
+    @pytest.mark.parametrize("coeff", INEXACT, ids=repr)
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_constructors_refuse_inexact_coefficients(self, space, coeff):
+        cls, size, key, _, _ = space
+        with pytest.raises(ValueError, match="coefficient .* is not an integer"):
+            cls(size, {key: coeff})
+        with pytest.raises(ValueError, match="coefficient .* is not an integer"):
+            cls.unit(key, coeff)
+
+    @pytest.mark.parametrize("scalar", INEXACT, ids=repr)
+    @pytest.mark.parametrize("space", SPACES, ids=SPACE_IDS)
+    def test_scalar_product_refuses_inexact_scalars(self, space, scalar):
+        cls, size, key, _, _ = space
+        for v in (cls.unit(key), cls(size, {})):
+            with pytest.raises(ValueError, match="coefficient .* is not an integer"):
+                scalar * v
+
+    @pytest.mark.parametrize("space, text", [
+        (SPACES[0], "TabloidVector(1*TwoRowTableau('1 2' / '3 4') + "
+                    "-2*TwoRowTableau('1 3' / '2 4'))"),
+        (SPACES[1], "DiagramVector(-2*Matching[(1,2)(3,4)] + 1*Matching[(1,3)(2,4)])"),
+    ], ids=SPACE_IDS)
+    def test_repr_and_hash(self, space, text):
+        cls, size, a_key, b_key, _ = space
+        v = cls(size, {a_key: 1, b_key: -2})
+        assert v == cls.unit(b_key, -2) + cls.unit(a_key)
+        assert hash(v) == hash(cls.unit(b_key, -2) + cls.unit(a_key))
+        assert repr(v) == text
+        assert repr(cls(size, {})) == f"{cls.__name__}(0)"
+
+    def test_to_json_is_pinned(self):
+        # Records are sorted by the key's tuple form; the text must not drift.
+        nested = TwoRowTableau(((1, 4), (2, 3)))
+        v = TabloidVector(2, {nested: 3, FLAT_TWO: -2, BASE_TWO: 10**20})
+        assert json.dumps(v.to_json()) == (
+            '[{"top": [1, 3], "bottom": [2, 4], "coeff": "100000000000000000000"}, '
+            '{"top": [1, 2], "bottom": [3, 4], "coeff": "-2"}, '
+            '{"top": [1, 2], "bottom": [4, 3], "coeff": "3"}]'
+        )
+        d = DiagramVector(4, {Matching([(1, 4), (2, 3)]): 3,
+                              Matching([(1, 3), (2, 4)]): -2,
+                              Matching([(1, 2), (3, 4)]): 1})
+        assert json.dumps(d.to_json()) == (
+            '[{"n2": 4, "arcs": [[1, 2], [3, 4]], "coeff": "1"}, '
+            '{"n2": 4, "arcs": [[1, 3], [2, 4]], "coeff": "-2"}, '
+            '{"n2": 4, "arcs": [[1, 4], [2, 3]], "coeff": "3"}]'
+        )
+
+
+def vectors(cls, size, key):
+    """Vectors of ``cls`` over every normal-form pairing of ``size``-dot keys."""
+    pairings = [key(p) for p in all_pairings(range(1, 7))]
+    terms = st.dictionaries(st.sampled_from(pairings), st.integers(), max_size=6)
+    return terms.map(lambda t: cls(size, t))
+
+
+VECTOR_PAIRS = st.one_of(
+    st.tuples(vectors(TabloidVector, 3, TwoRowTableau),
+              vectors(TabloidVector, 3, TwoRowTableau)),
+    st.tuples(vectors(DiagramVector, 6, Matching), vectors(DiagramVector, 6, Matching)),
+)
+
+
+@given(VECTOR_PAIRS)
+def test_vector_laws(pair):
+    a, b = pair
+    assert a + b - b == a
+    assert (0 * a).is_zero()
+    assert type(a).from_json(a.size, a.to_json()) == a
+    assert type(a).from_json(a.size, json.loads(json.dumps(a.to_json()))) == a
 
 
 class TestActMatching:

@@ -1,19 +1,24 @@
-"""What the benchmark's tracer needs from cupweb.
+"""What the benchmark's tracer and query-mix worker need from cupweb.
 
 ``perfbench/tracing.py`` wraps the functions its ``LAYERS`` names and
-counts the nonzeros of each built matrix through ``entries``; a rename in
-``src`` would otherwise break a traced run without failing any test.
+counts the nonzeros of each built matrix through ``entries``; the
+query-mix worker builds its calls from cupweb types and reads their
+results.  A rename in ``src`` would otherwise break a benchmark run
+without failing any test.
 """
 
 import importlib
 import importlib.util
+import json
+import sys
 from pathlib import Path
 
 import pytest
 
 from cupweb import transition_matrix
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _tracing():
@@ -46,3 +51,37 @@ def test_tracer_counts_nonzeros():
     tracer._hooks()["transition_matrix"](matrix)
     nonzeros = sum(len(col) for col in matrix.columns)
     assert tracer.summary()["transition.nonzeros"] == nonzeros
+
+
+@pytest.fixture
+def perfbench_path(monkeypatch):
+    """``perfbench`` importable for one test; its modules are dropped after."""
+    monkeypatch.setattr(sys, "path", [str(PERFBENCH)] + sys.path)
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    yield
+    for name, module in list(sys.modules.items()):
+        if Path(getattr(module, "__file__", None) or "").parent == PERFBENCH:
+            del sys.modules[name]
+
+
+def test_query_mix_runs_on_the_package(perfbench_path):
+    import cupweb
+    import checks
+    import inputs
+    import worker
+
+    def witness(t, s):
+        script = cupweb.witness_path(t, s)
+        return script, cupweb.check_witness(t, s, script)
+
+    run = {
+        "resolve": cupweb.resolve_full,
+        "witness": witness,
+        "straighten": cupweb.garnir_straighten,
+        "act": cupweb.act_web,
+    }
+    queries = inputs.query_list(1, per_kind=20)
+    results = [worker.plain_result(kind, run[kind](*args))
+               for kind, args in worker.prepare_calls(cupweb, queries)]
+    assert {kind for kind, _ in queries} == set(run)
+    assert checks.check_queries(queries, json.loads(json.dumps(results))) == []

@@ -47,6 +47,16 @@ class TestMatching:
         assert m.partner(1) == 6
         assert m.partner(3) == 2
 
+    def test_holds_only_its_arcs(self):
+        m = Matching([(1, 6), (2, 3), (4, 5)])
+        assert Matching.__slots__ == ("arcs",)
+        assert CupDiagram.__slots__ == ()
+        assert not hasattr(m, "__dict__")
+        assert [m.partner(d) for d in range(1, 7)] == [6, 3, 2, 5, 4, 1]
+        for dot in (0, 7):
+            with pytest.raises(KeyError):
+                m.partner(dot)
+
     @pytest.mark.parametrize(
         "arcs", [[(1, 2), (2, 3)], [(1, 2), (4, 5)], [(1, 1), (2, 3)]]
     )

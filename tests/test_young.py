@@ -52,6 +52,16 @@ class TestStandardTableau:
         assert t0(2) == StandardTableau((1, 3), (2, 4))
         assert t0(4).columns() == ((1, 2), (3, 4), (5, 6), (7, 8))
 
+    def test_rows_built_from_lists_are_tuples(self):
+        listed = StandardTableau([1, 2], [3, 4])
+        flat = StandardTableau((1, 2), (3, 4))
+        assert (listed.top, listed.bottom) == ((1, 2), (3, 4))
+        assert listed == flat
+        assert hash(listed) == hash(flat)
+        graph = build_tableau_graph(2)
+        assert leq(StandardTableau([1, 3], [2, 4]), listed, graph)
+        assert not leq(listed, t0(2), graph)
+
 
 class TestEnumeration:
     def test_n1(self):
