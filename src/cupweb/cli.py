@@ -227,8 +227,9 @@ def cmd_render(args):
         n = obj["tableau_graph"]
         if type(n) is not int:  # not isinstance: True is an int
             raise ValueError(f"tableau_graph size {json.dumps(n)} is not an integer")
-        if n < 1:
-            raise ValueError("tableau_graph size must be positive")
+        if not 1 <= n <= DEFAULT_MAX_N:  # render has no --max-n or --force
+            raise ValueError(f"tableau_graph size must be from 1 to {DEFAULT_MAX_N}; "
+                             "cupweb graph -n N --format dot --force draws larger graphs")
         return tableau_graph_dot(build_tableau_graph(n)), 0
     raise ValueError('object must contain "arcs" or "tableau_graph"')
 

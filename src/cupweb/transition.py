@@ -24,6 +24,7 @@ from datetime import datetime, timezone
 from functools import reduce
 from itertools import groupby
 from operator import and_
+from types import MappingProxyType
 
 from .actions import DEFAULT_STEP_BUDGET, _relabel, _straighten
 from .diagrams import cup_of_tableau
@@ -45,13 +46,16 @@ class TransitionMatrix:
 
     ``columns[t]`` is ``{s: M[s][t]}`` over the nonzero entries of column t;
     an absent or stored-0 row is a zero.  Only ``entries`` and the exports
-    build dense rows, afresh on each call.  ``transition_matrix`` caches
-    its result, so the column dicts must not be modified.
+    build dense rows, afresh on each call.  Columns are stored read-only,
+    as ``MappingProxyType``s of the dicts given.
     """
 
     n: int
     index: tuple[StandardTableau, ...]
-    columns: tuple[dict[int, int], ...]
+    columns: tuple[MappingProxyType[int, int], ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "columns", tuple(map(MappingProxyType, self.columns)))
 
     @property
     def size(self) -> int:
@@ -250,30 +254,6 @@ def _unitriangular_fault(matrix: TransitionMatrix) -> str | None:
     return None
 
 
-def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
-    """Exact inverse of a unitriangular matrix, over the same index.
-
-    From M^-1 M = I with a unit diagonal, column t of M^-1 is e_t minus
-    M[k][t] times column k of M^-1, summed over k < t, so each column is
-    read off the nonzero entries of M's column t and earlier columns of
-    M^-1.  A matrix that ``_unitriangular_fault`` rejects raises
-    ``ValueError`` with its message.  ``cupweb inverse`` prints this
-    matrix; ``verify_psi`` checks M psi = I without it.
-    """
-    fault = _unitriangular_fault(matrix)
-    if fault:
-        raise ValueError(fault)
-    found: list[dict[int, int]] = []  # the columns of M^-1, nonzeros only
-    for t, col in enumerate(matrix.columns):
-        x = {t: 1}
-        for k, e in col.items():
-            if e and k != t:
-                for s, v in found[k].items():
-                    x[s] = x.get(s, 0) - e * v
-        found.append({s: v for s, v in x.items() if v})
-    return TransitionMatrix(matrix.n, matrix.index, tuple(found))
-
-
 # array type code per field size in bytes, for the fields of ``_packed``
 _FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
@@ -405,19 +385,13 @@ def _psi_along_edges(n: int, step_budget: int):
     return columns, [vec if ok else None for vec, ok in zip(psi, sound)]
 
 
-def verify_psi(
-    matrix: TransitionMatrix, step_budget: int = DEFAULT_STEP_BUDGET
-) -> VerificationReport:
-    """Straightening each cup diagram gives the matching column of M^-1.
+def _checked_psi(matrix: TransitionMatrix, step_budget: int):
+    """Yield the psi_c of ``_psi_along_edges`` as ``{row: coeff}`` over M's index.
 
-    M must be unitriangular (``_unitriangular_fault``); that is checked
-    first, before any straightening.  The straightened cups psi come from
-    ``_psi_along_edges``, one parent edge of the tableau graph each;
-    ``step_budget`` bounds the rewrite steps of the whole call.  Column by
-    column, in the matrix's own index order, psi_c of the column's
-    tableau, read through that index, must satisfy M psi_c = e_c; as M is
-    invertible, that is psi_c = column c of M^-1.  A column whose chain
-    of parent edges failed the two-column identity fails.
+    In index order, stopping before the first column c where M psi_c !=
+    e_c, or psi_c has a failed parent edge or a term outside the index; so
+    c is the number yielded.  M must pass ``_unitriangular_fault``; as M is
+    then invertible, M psi_c = e_c says psi_c is column c of M^-1.
 
     Column t of M is packed into one int P_t = sum_s M[s][t] 2^(s w), so
     the packed product is sum_t psi_c[t] P_t = sum_s (M psi_c)[s] 2^(s w),
@@ -428,36 +402,62 @@ def verify_psi(
     then 2^w divides d_k, although 0 < |d_k| < 2^w.  So the product
     equals ``1 << (c * w)`` exactly when M psi_c = e_c.
     """
+    columns, psi = _psi_along_edges(matrix.n, step_budget) if matrix.index else ([], [])
+    # Graph vertex -> row of the matrix's own index, by standard columns.
+    row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
+    rows = [row_of.get(cols) for cols in columns]
+    psi_of = dict(zip(columns, psi))
+    entry_max = max((max(map(abs, col.values()), default=0)
+                     for col in matrix.columns), default=0)
+    norm_max = max((sum(map(abs, vec.values())) for vec in psi if vec), default=1)
+    width = _field_width(entry_max * norm_max)
+    packed = [_packed(col, width) for col in matrix.columns]
+    for c, t in enumerate(matrix.index):
+        vec = psi_of.get(t.columns())
+        found = vec and {rows[x]: coeff for x, coeff in vec.items()}
+        if not found or None in found:  # failed edge, or a term outside the index
+            return
+        by_coeff: dict[int, int] = {}  # the packed columns summed per coefficient
+        for row, coeff in found.items():
+            by_coeff[coeff] = by_coeff.get(coeff, 0) + packed[row]
+        if sum(k * v for k, v in by_coeff.items()) != 1 << (c * width):
+            return
+        yield found
+
+
+def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
+    """M^-1 over M's own index: column c is cup c straightened, psi_c.
+
+    A matrix that ``_unitriangular_fault`` rejects raises ``ValueError``
+    with its message, and so does one that fails ``_checked_psi``, naming
+    the first failing column.  The straightening runs within the module's
+    ``DEFAULT_STEP_BUDGET``, read at each call; past it, ``SizeLimitError``.
+    """
+    fault = _unitriangular_fault(matrix)
+    if fault:
+        raise ValueError(fault)
+    inverse = tuple(_checked_psi(matrix, DEFAULT_STEP_BUDGET))
+    if len(inverse) < matrix.size:
+        raise ValueError("the straightened cups do not invert the matrix: "
+                         f"web of {matrix.index[len(inverse)].row_word()}")
+    return TransitionMatrix(matrix.n, matrix.index, inverse)
+
+
+def verify_psi(
+    matrix: TransitionMatrix, step_budget: int = DEFAULT_STEP_BUDGET
+) -> VerificationReport:
+    """Straightening each cup diagram gives the matching column of M^-1.
+
+    ``_unitriangular_fault`` is checked before any straightening, then
+    ``_checked_psi`` within ``step_budget`` rewrite steps.
+    """
     start = time.perf_counter()
     fault = _unitriangular_fault(matrix)
     if fault:
         witness = f"matrix not invertible over the order: {fault}"
     else:
-        columns, psi = _psi_along_edges(matrix.n, step_budget) if matrix.index else ([], [])
-        # Graph vertex -> row of the matrix's own index, by standard columns.
-        row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
-        rows = [row_of.get(cols) for cols in columns]
-        psi_of = dict(zip(columns, psi))
-        entry_max = max((max(map(abs, col.values()), default=0)
-                         for col in matrix.columns), default=0)
-        norm_max = max((sum(map(abs, vec.values())) for vec in psi if vec), default=1)
-        width = _field_width(entry_max * norm_max)
-        packed = [_packed(col, width) for col in matrix.columns]
-
-        def matches(c: int, t: StandardTableau) -> bool:
-            vec = psi_of.get(t.columns())
-            if vec is None:
-                return False
-            by_coeff: dict[int, int] = {}  # the packed columns summed per coefficient
-            for x, coeff in vec.items():
-                row = rows[x]
-                if row is None:
-                    return False
-                by_coeff[coeff] = by_coeff.get(coeff, 0) + packed[row]
-            return sum(k * v for k, v in by_coeff.items()) == 1 << (c * width)
-
-        bad = next((c for c, t in enumerate(matrix.index) if not matches(c, t)), None)
-        witness = None if bad is None else f"web of {matrix.index[bad].row_word()}"
+        good = sum(1 for _ in _checked_psi(matrix, step_budget))
+        witness = None if good == matrix.size else f"web of {matrix.index[good].row_word()}"
     checks = [Check("straightening-matches-inverse", witness is None, witness)]
     return _report(matrix.n, checks, start)
 

@@ -315,6 +315,15 @@ class TestRender:
                       if "label" in ln and "->" not in ln]
         assert len(node_lines) == 5
 
+    @pytest.mark.parametrize("size", [0, 9])
+    def test_tableau_graph_outside_the_limit_points_to_graph(self, capsys, size):
+        # render takes no --max-n or --force, so its error names a command that does.
+        code, out, err = run(capsys, "render", f'{{"tableau_graph": {size}}}',
+                             "--format", "dot")
+        assert (code, out) == (2, "")
+        assert err == ("error: tableau_graph size must be from 1 to 8; "
+                       "cupweb graph -n N --format dot --force draws larger graphs\n")
+
     def test_bad_object(self, capsys):
         code, _, err = run(capsys, "render", '{"boxes": 3}')
         assert code == 2

@@ -56,6 +56,12 @@ def _from_rows(n: int, index, rows) -> TransitionMatrix:
     ))
 
 
+def _dense_columns(matrix: TransitionMatrix) -> list[dict]:
+    """The columns of M^-1 by the dense oracle, as ``{row: entry}`` over nonzeros."""
+    inverse = dense_inverse(matrix.entries)
+    return [{s: row[c] for s, row in enumerate(inverse) if row[c]} for c in range(matrix.size)]
+
+
 def _corrupt(matrix: TransitionMatrix, s: int, t: int, value: int) -> TransitionMatrix:
     entries = [list(row) for row in matrix.entries]
     entries[s][t] = value
@@ -387,6 +393,40 @@ class TestInverse:
         with pytest.raises(ValueError):
             inverse_matrix(bad)
 
+    def test_rejects_a_unitriangular_matrix_that_is_not_m(self):
+        # Columns of M^-1 left of column 2 do not read it, so column 2 fails first.
+        matrix = transition_matrix(3)
+        bad = _corrupt(matrix, 0, 2, 7)
+        assert transition_module._unitriangular_fault(bad) is None
+        word = matrix.index[2].row_word()
+        with pytest.raises(ValueError, match=f"^the straightened cups do not invert "
+                                             f"the matrix: web of {word}$"):
+            inverse_matrix(bad)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_follows_the_matrix_index(self, n):
+        # Rows and columns are read through the matrix's own index.
+        matrix = _shuffled_within_ranks(transition_matrix(n), random.Random(n))
+        inverse = inverse_matrix(matrix)
+        assert inverse.index == matrix.index
+        assert inverse.entries == dense_inverse(matrix.entries)
+
+    def test_a_tripped_step_budget_exits_2_with_one_line(self, capsys, monkeypatch):
+        # inverse_matrix reads the module's budget at each call.
+        monkeypatch.setattr(transition_module, "DEFAULT_STEP_BUDGET", 1)
+        with pytest.raises(SizeLimitError):
+            inverse_matrix(transition_matrix(5))
+        assert main(["inverse", "-n", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: straightening exceeded 1 rewrite steps\n"
+
+    def test_cached_columns_are_read_only(self):
+        with pytest.raises(TypeError):
+            transition_matrix(4).columns[0][13] = 5
+        assert 13 not in transition_matrix(4).columns[0]
+        assert verify_unitriangular(transition_matrix(4)).passed
+
 
 class TestPsi:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -395,9 +435,9 @@ class TestPsi:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_straightened_cups_are_the_inverse_columns(self, n):
-        # Cup by cup, against the inverse that verify_psi compares with.
+        # Cup by cup, against the dense oracle's inverse.
         matrix = transition_matrix(n)
-        inverse = inverse_matrix(matrix).entries
+        inverse = dense_inverse(matrix.entries)
         row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
         for col, tab in enumerate(matrix.index):
             _, vec = cup_polytabloid(cup_of_tableau(tab))
@@ -494,8 +534,8 @@ def _corrupted_above(matrix: TransitionMatrix, rng, count: int, step: int) -> Tr
 
 
 def _witness_off_the_inverse(matrix: TransitionMatrix) -> str | None:
-    """The first column whose one-sweep psi differs from that of ``inverse_matrix``."""
-    inverse = inverse_matrix(matrix).columns
+    """The first column whose one-sweep psi differs from the dense oracle's inverse."""
+    inverse = _dense_columns(matrix)
     swept = [_stripped(col) for col in psi_by_sweep(matrix)]
     bad = next((c for c in range(matrix.size) if swept[c] != inverse[c]), None)
     return None if bad is None else f"web of {matrix.index[bad].row_word()}"
@@ -511,8 +551,10 @@ class TestPsiAlongEdges:
         assert columns == [t.columns() for t in matrix.index]
         swept = [_stripped(col) for col in psi_by_sweep(matrix)]
         assert psi == swept
-        if n <= 7:  # the n = 8 inverse alone would add about 1.5 s
-            assert swept == list(inverse_matrix(matrix).columns)
+        # At n = 7 the dense oracle alone takes about 1 s; there psi, read
+        # as inverse_matrix, meets it in test_matches_dense_back_substitution[7].
+        if n <= 6:
+            assert swept == _dense_columns(matrix)
 
     def test_the_smallest_budget_does_not_depend_on_earlier_calls(
             self, capsys, monkeypatch):
@@ -1044,6 +1086,15 @@ class TestExports:
         assert len(out) == 388_856
         assert hashlib.sha256(out).hexdigest() == (
             "b074b1e10392004fae75bc80380523e1eacd6d297a3864e3a5a0a25094fbbe05"
+        )
+
+    def test_inverse_csv_n8_digest(self, capsys):
+        # The stdout of `cupweb inverse -n 8`.
+        assert main(["inverse", "-n", "8"]) == 0
+        out = capsys.readouterr().out.encode()
+        assert len(out) == 4_185_588
+        assert hashlib.sha256(out).hexdigest() == (
+            "f2b590597cf9834feb837b25ae70c785a0e0b38e3ff443a240260010b36ddb6f"
         )
 
     def test_json_schema(self):
