@@ -21,9 +21,10 @@ import re
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
+from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
-from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
+from .diagrams import Matching, _read_only, column_matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
 from .resolution import resolve_full
 from .young import StandardTableau, is_permutation, t0
@@ -128,7 +129,9 @@ class _SparseVector:
     vectors share (``_size_name``), the key's tuple form that orders the JSON
     records (``_order``), and ``_parse``, which reads one JSON record into a
     key and the sign it costs.  Constructors check keys and coefficients;
-    arithmetic on checked operands builds through ``_trusted``.
+    arithmetic on checked operands builds through ``_trusted``.  A vector is
+    read-only: its attributes refuse assignment and ``terms`` is a
+    ``MappingProxyType``, which compares equal to a dict of the same items.
     """
 
     __slots__ = ("size", "terms")
@@ -142,16 +145,21 @@ class _SparseVector:
                             or getattr(key, self._size_name) != size):
                         raise ValueError(f"bad key {key!r} for {self._size_name}={size}")
                     clean[key] = coeff
-        self.size = size
-        self.terms = clean
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "terms", MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, size: int, terms: dict):
-        """A vector on ``terms`` as given: nonzero int coefficients, valid keys."""
+        """A vector on ``terms``, wrapped as given: nonzero int coefficients, valid keys."""
         v = object.__new__(cls)
-        v.size = size
-        v.terms = terms
+        object.__setattr__(v, "size", size)
+        object.__setattr__(v, "terms", MappingProxyType(terms))
         return v
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
+        return type(self), (self.size, dict(self.terms))
 
     @classmethod
     def unit(cls, key, coeff: int = 1):
@@ -285,7 +293,6 @@ def act_web(i: int, v: DiagramVector) -> DiagramVector:
 def _straighten(
     seeds: Mapping[tuple[tuple[int, int], ...], Mapping[Hashable, int]],
     step_budget: int,
-    spent: int = 0,
 ) -> tuple[dict[tuple[tuple[int, int], ...], dict[Hashable, int]], int]:
     """Straighten every seed in one sweep: standard columns -> ``{label: coeff}``.
 
@@ -296,15 +303,14 @@ def _straighten(
     (a/b) the first column with b > x.  Both children keep every column
     before (a/b) and lower its bottom, to x or to c, so fillings are popped
     by bottom row, largest first, each after all its parents, with its
-    final vector, and expanded once; ``step_budget`` bounds these
-    expansions plus the ``spent`` ones of earlier sweeps, and the running
-    total is returned with the expansions.
+    final vector, and expanded once.  ``step_budget`` bounds these
+    expansions, and their count is returned with the result.
     """
     vectors = {cols: dict(vec) for cols, vec in seeds.items()}
     heap = [(tuple([-b for _, b in cols]), cols) for cols in vectors]
     heapify(heap)
     out = {}
-    steps = spent
+    steps = 0
     while heap:
         cols = heappop(heap)[1]
         vec = vectors.pop(cols)

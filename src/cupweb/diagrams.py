@@ -13,8 +13,13 @@ from typing import Iterable, Iterator, Sequence
 from .young import StandardTableau, is_permutation
 
 
+def _read_only(obj, *_):
+    """``__setattr__`` and ``__delattr__`` of a type whose values never change."""
+    raise AttributeError(f"{type(obj).__name__} is read-only")
+
+
 class Matching:
-    """An involution on {1..2n} without fixed points, kept in arc-list form."""
+    """A read-only involution on {1..2n} without fixed points, in arc-list form."""
 
     __slots__ = ("arcs",)
 
@@ -22,7 +27,7 @@ class Matching:
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
         if not is_permutation([d for arc in canon for d in arc]):
             raise ValueError("arcs must cover each dot 1..2n exactly once")
-        self.arcs = canon
+        _set_arcs(self, canon)
 
     @classmethod
     def _trusted(cls, arcs: tuple) -> "Matching":
@@ -32,8 +37,13 @@ class Matching:
         crossing when ``cls`` is ``CupDiagram``.
         """
         m = object.__new__(cls)
-        m.arcs = arcs
+        _set_arcs(m, arcs)
         return m
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__: no slot writes
+        return type(self), (self.arcs,)
 
     @property
     def n2(self) -> int:
@@ -73,6 +83,11 @@ class Matching:
             if data["n2"] != m.n2:
                 raise ValueError("n2 field disagrees with the arc list")
         return m
+
+
+# The slot's own setter, past the refusing ``__setattr__``: about half the cost
+# of ``object.__setattr__`` on ``resolve_full``'s path, one matching per sink.
+_set_arcs = Matching.arcs.__set__
 
 
 class CupDiagram(Matching):

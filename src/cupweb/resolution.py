@@ -97,6 +97,8 @@ Strategy = Union[str, Sequence[int], Callable[[Matching, list[Crossing]], Crossi
 
 def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     """Replace the two arcs of ``crossing`` by the chosen smoothing."""
+    if type(kind) is not MoveKind:
+        raise ValueError(f"move kind {kind!r} is not a MoveKind")
     left, right = crossing.left, crossing.right
     if not ({left, right} <= set(m.arcs)
             and all(type(d) is int for d in left + right)):
@@ -376,9 +378,9 @@ def check_witness(
     """True iff the script is step-by-step valid and lands on the cup of ``s``.
 
     The script is replayed on the partner array of the column matching of
-    ``t``.  Each move passes the checks ``resolve_step`` makes: its four dots
-    are ints (``True`` and ``1.0`` are not) in 1..2n, and both of its arcs
-    are arcs of the current matching.
+    ``t``.  Each move passes the checks ``resolve_step`` makes: its kind is
+    a ``MoveKind``, its four dots are ints (``True`` and ``1.0`` are not)
+    in 1..2n, and both of its arcs are arcs of the current matching.
     """
     n2 = 2 * t.n
     cur = _partners(t.columns(), n2)
@@ -386,7 +388,8 @@ def check_witness(
         for move in script:
             left, right = move.crossing.left, move.crossing.right
             (a, c), (b, d) = left, right
-            if not (all(type(x) is int and 0 < x <= n2 for x in left + right)
+            if not (type(move.kind) is MoveKind
+                    and all(type(x) is int and 0 < x <= n2 for x in left + right)
                     and cur[a] == c and cur[b] == d):
                 return False
             _smooth(cur, move.crossing, move.kind)

@@ -22,11 +22,10 @@ from array import array
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import reduce
-from itertools import groupby
 from operator import and_
 from types import MappingProxyType
 
-from .actions import DEFAULT_STEP_BUDGET, _relabel, _straighten
+from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
 from .resolution import DEFAULT_NODE_BUDGET, insert_level, undo_on_refusal
 from .young import (
@@ -298,100 +297,15 @@ def _field_width(bound: int) -> int:
     return next((w for w in (8, 16, 32, 64) if w >= width), -(-width // 8) * 8)
 
 
-def _edge_identity_holds(src_cup, dst_cup, i: int) -> bool:
-    """w_dst = s_i w_src - w_src for the fillings on the arcs of two cups.
-
-    s_i moves only the columns of w_src holding i or i+1.  These two, their
-    images and the two columns of w_dst outside the other n - 2 must have
-    4-term expansions that cancel; the identity on them then holds for the
-    whole fillings, which share the other columns.
-    """
-    rest = [col for col in src_cup if i in col or i + 1 in col]
-    shared = set(src_cup).difference(rest)
-    dst_rest = [col for col in dst_cup if col not in shared]
-    if not (len(rest) == len(dst_rest) == 2 and len(dst_cup) == len(src_cup)
-            and shared.issubset(dst_cup)):
-        return False
-    moved, sign = _relabel(rest, i)
-    total: dict[frozenset, int] = {}  # tabloids by top-row set
-    for ((a, b), (c, d)), coeff in ((dst_rest, 1), (moved, -sign), (rest, 1)):
-        for top, term in (((a, c), 1), ((b, c), -1), ((a, d), -1), ((b, d), 1)):
-            key = frozenset(top)
-            total[key] = total.get(key, 0) + coeff * term
-    return not any(total.values())
-
-
-def _psi_along_edges(n: int, step_budget: int):
-    """Each tableau's straightened cup, from its parent edge in the graph.
-
-    The first edge into a tableau in ``graph.edges`` is its parent edge
-    src ->_i dst.  As s_i e_T = e_{s_i T}, the filling identity w_dst =
-    s_i w_src - w_src gives psi_dst = sum over T of psi_src[T] * (S(T, i) -
-    e_T), where S(T, i) straightens s_i T.  The identity is checked on each
-    parent edge; the expansion over standard polytabloids is unique, so
-    where it holds psi_dst is the straightening of w_dst.  The S are kept
-    in a table on (T, i), local to the call, and filled rank by rank, one
-    straightening sweep per rank; ``step_budget`` bounds the expansions
-    of all sweeps together.
-
-    Returns the standard columns of each vertex, in the graph's order, and
-    each vertex's psi as ``{vertex: coeff}``, or None when an edge on its
-    chain of parent edges fails ``_edge_identity_holds``.
-    """
-    graph = build_tableau_graph(n, max_n=n)
-    vertices = graph.vertices
-    columns = [t.columns() for t in vertices]
-    position = {cols: k for k, cols in enumerate(columns)}
-    cups = [cup_of_tableau(t).arcs for t in vertices]
-    parent: dict[int, tuple[int, int]] = {}
-    for src, dst, i in graph.edges:
-        parent.setdefault(dst, (src, i))
-    # t0 is straightened directly; every later rank reads the one before.
-    out, spent = _straighten({cups[0]: {None: 1}}, step_budget)
-    psi = [{position[cols]: vec[None] for cols, vec in out.items() if vec[None]}]
-    sound = [True]
-    table: dict[tuple[int, int], dict[int, int]] = {}  # (T, i) -> S(T, i)
-    for _, level in groupby(range(1, len(vertices)),
-                            key=lambda v: sum(vertices[v].top)):
-        level = list(level)
-        seeds: dict[tuple, dict] = {}
-        for dst in level:
-            src, i = parent[dst]
-            for t in psi[src]:
-                if (t, i) in table:
-                    continue
-                swapped, sign = _relabel(columns[t], i)
-                if swapped in position:  # already standard
-                    table[t, i] = {position[swapped]: sign}
-                else:  # i and i+1 share a row of T
-                    table[t, i] = {}
-                    seeds.setdefault(swapped, {})[t, i] = sign
-        out, spent = _straighten(seeds, step_budget, spent)
-        for cols, vec in out.items():
-            x = position[cols]
-            for key, coeff in vec.items():
-                if coeff:
-                    table[key][x] = coeff
-        for dst in level:
-            src, i = parent[dst]
-            acc: dict[int, int] = {}
-            get = acc.get
-            for t, c in psi[src].items():
-                acc[t] = get(t, 0) - c
-                for x, d in table[t, i].items():
-                    acc[x] = get(x, 0) + c * d
-            psi.append({x: c for x, c in acc.items() if c})
-            sound.append(sound[src] and _edge_identity_holds(cups[src], cups[dst], i))
-    return columns, [vec if ok else None for vec, ok in zip(psi, sound)]
-
-
 def _checked_psi(matrix: TransitionMatrix, step_budget: int):
-    """Yield the psi_c of ``_psi_along_edges`` as ``{row: coeff}`` over M's index.
+    """Yield each cup of M's index straightened, psi_c, as ``{row: coeff}``.
 
-    In index order, stopping before the first column c where M psi_c !=
-    e_c, or psi_c has a failed parent edge or a term outside the index; so
-    c is the number yielded.  M must pass ``_unitriangular_fault``; as M is
-    then invertible, M psi_c = e_c says psi_c is column c of M^-1.
+    One ``_straighten`` sweep within ``step_budget`` rewrite steps takes
+    every cup, seeded under its column c.  In index order, this stops
+    before the first column c where M psi_c != e_c, or psi_c has a term
+    outside the index; so c is the number yielded.  M must pass
+    ``_unitriangular_fault``; as M is then invertible, M psi_c = e_c says
+    psi_c is column c of M^-1.
 
     Column t of M is packed into one int P_t = sum_s M[s][t] 2^(s w), so
     the packed product is sum_t psi_c[t] P_t = sum_s (M psi_c)[s] 2^(s w),
@@ -402,20 +316,24 @@ def _checked_psi(matrix: TransitionMatrix, step_budget: int):
     then 2^w divides d_k, although 0 < |d_k| < 2^w.  So the product
     equals ``1 << (c * w)`` exactly when M psi_c = e_c.
     """
-    columns, psi = _psi_along_edges(matrix.n, step_budget) if matrix.index else ([], [])
-    # Graph vertex -> row of the matrix's own index, by standard columns.
-    row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
-    rows = [row_of.get(cols) for cols in columns]
-    psi_of = dict(zip(columns, psi))
+    seeds: dict[tuple, dict[int, int]] = {}
+    for c, t in enumerate(matrix.index):
+        seeds.setdefault(cup_of_tableau(t).arcs, {})[c] = 1
+    out, _ = _straighten(seeds, step_budget)
+    row_of = {t.columns(): row for row, t in enumerate(matrix.index)}
+    psi: list[dict] = [{} for _ in matrix.index]
+    for cols, vec in out.items():
+        row = row_of.get(cols)  # None for a filling outside the index
+        for c, coeff in vec.items():
+            if coeff:
+                psi[c][row] = coeff
     entry_max = max((max(map(abs, col.values()), default=0)
                      for col in matrix.columns), default=0)
-    norm_max = max((sum(map(abs, vec.values())) for vec in psi if vec), default=1)
+    norm_max = max((sum(map(abs, vec.values())) for vec in psi), default=1)
     width = _field_width(entry_max * norm_max)
     packed = [_packed(col, width) for col in matrix.columns]
-    for c, t in enumerate(matrix.index):
-        vec = psi_of.get(t.columns())
-        found = vec and {rows[x]: coeff for x, coeff in vec.items()}
-        if not found or None in found:  # failed edge, or a term outside the index
+    for c, found in enumerate(psi):
+        if None in found:
             return
         by_coeff: dict[int, int] = {}  # the packed columns summed per coefficient
         for row, coeff in found.items():
@@ -449,7 +367,7 @@ def verify_psi(
     """Straightening each cup diagram gives the matching column of M^-1.
 
     ``_unitriangular_fault`` is checked before any straightening, then
-    ``_checked_psi`` within ``step_budget`` rewrite steps.
+    ``_checked_psi``, one sweep within ``step_budget`` rewrite steps.
     """
     start = time.perf_counter()
     fault = _unitriangular_fault(matrix)

@@ -12,8 +12,9 @@ values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, wraps
+from types import MappingProxyType
 
 from .errors import SizeLimitError
 
@@ -199,6 +200,7 @@ def swap_entries(tableau: StandardTableau, i: int) -> StandardTableau:
     return StandardTableau(top, bottom)
 
 
+@dataclass(frozen=True)
 class TableauGraph:
     """Directed graph on the tableaux of a fixed n.
 
@@ -206,21 +208,30 @@ class TableauGraph:
     i+1 exchanged, where i was in the bottom row of ``s`` and i+1 in its
     top row.  The graph is acyclic with ``t0`` as its unique source, and
     reachability defines the partial order used throughout the package.
+    The one cached graph per n is read-only: fields refuse assignment, and
+    the position table is a ``MappingProxyType``.
     """
 
-    def __init__(self, n: int, vertices: tuple[StandardTableau, ...],
-                 edges: tuple[tuple[int, int, int], ...]):
-        self.n = n
-        self.vertices = vertices
-        self.edges = edges
-        self._position = {v: k for k, v in enumerate(vertices)}
+    n: int
+    vertices: tuple[StandardTableau, ...]
+    edges: tuple[tuple[int, int, int], ...]
+    _position: MappingProxyType = field(init=False, repr=False, compare=False)
+    descendants: tuple[int, ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        vertices = self.vertices
+        object.__setattr__(self, "_position",
+                           MappingProxyType({v: k for k, v in enumerate(vertices)}))
         # Bit j of descendants[k] is set when vertex j is reachable from
         # vertex k.  An edge raises the rank by one, so taking edges by
         # falling source rank completes every target before its sources.
         desc = [1 << k for k in range(len(vertices))]
-        for src, dst, _ in sorted(edges, key=lambda e: -_rank(vertices[e[0]])):
+        for src, dst, _ in sorted(self.edges, key=lambda e: -_rank(vertices[e[0]])):
             desc[src] |= desc[dst]
-        self.descendants = tuple(desc)
+        object.__setattr__(self, "descendants", tuple(desc))
+
+    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
+        return type(self), (self.n, self.vertices, self.edges)
 
     def position(self, tableau: StandardTableau) -> int:
         try:

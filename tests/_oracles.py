@@ -12,7 +12,7 @@ kernel of its own here: ``straighten_by_first_descent`` rewrites at the
 first bottom-row descent and pops fillings in Garnir order, the reference
 for the package kernel, which rewrites at the least nested bottom entry;
 ``psi_by_sweep`` straightens every cup with it in one sweep, the
-reference for ``verify_psi``'s straightening along graph edges.  Two
+reference for the sweep of ``verify_psi`` and ``inverse_matrix``.  Two
 references reuse package code: ``witness_by_matchings`` and
 ``check_by_steps`` build and replay witness scripts on validated
 ``Matching`` objects with ``resolve_step``, the references for the
@@ -147,12 +147,12 @@ def _garnir_key(columns):
     return sum(a for a, _ in columns), -inversions
 
 
-def straighten_by_first_descent(seeds, step_budget, spent=0):
+def straighten_by_first_descent(seeds, step_budget):
     """Straighten every seed in one sweep, rewriting at the first descent.
 
     The same contract as ``cupweb.actions._straighten``: seeds map normal-form
     columns to ``{label: coeff}``, the result maps standard columns to
-    ``{label: coeff}`` and comes with the running count of expansions.
+    ``{label: coeff}`` and comes with the count of expansions.
     Fillings are popped in Garnir order, ``_garnir_key`` ascending: the
     keep-order child of a rewrite has one inversion less, the re-sorted one
     a larger top-row sum, so each filling is expanded once, after all its
@@ -162,7 +162,7 @@ def straighten_by_first_descent(seeds, step_budget, spent=0):
     heap = [(*_garnir_key(cols), cols) for cols in vectors]
     heapify(heap)
     out = {}
-    steps = spent
+    steps = 0
     while heap:
         top_sum, neg_inversions, cols = heappop(heap)
         vec = vectors.pop(cols)
@@ -198,12 +198,14 @@ def straighten_by_first_descent(seeds, step_budget, spent=0):
 def psi_by_sweep(matrix):
     """Every cup of ``matrix``'s index straightened in one first-descent sweep.
 
-    Each cup is seeded under its own column, as ``verify_psi`` once did;
+    Each cup is seeded under its own column, as ``verify_psi`` does;
     column c is ``{row: coeff}`` over the matrix's index, and a term whose
     contributions cancel stays with coefficient 0.
     """
     row_of = {t.columns(): k for k, t in enumerate(matrix.index)}
-    seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(matrix.index)}
+    seeds = {}
+    for c, t in enumerate(matrix.index):
+        seeds.setdefault(cup_of_tableau(t).arcs, {})[c] = 1
     psi = [{} for _ in matrix.index]
     out, _ = straighten_by_first_descent(seeds, DEFAULT_STEP_BUDGET)
     for cols, vec in out.items():

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 import random
 
 import pytest
@@ -161,6 +163,31 @@ class TestVectors:
             assert combo.terms == {a_key: 3, b_key: -2}
             assert (combo - combo).is_zero()
             assert -combo == (-1) * combo == b - 3 * a
+
+    def test_is_read_only(self):
+        for cls, size, key, other, _ in SPACES:
+            for v in (cls.unit(key), cls.unit(key) + cls.unit(other)):
+                with pytest.raises(TypeError):
+                    v.terms[key] = 2
+                for name in ("terms", "size"):
+                    with pytest.raises(AttributeError):
+                        setattr(v, name, {})
+                    with pytest.raises(AttributeError):
+                        delattr(v, name)
+            assert cls.unit(key).terms == {key: 1}
+            v = cls.unit(key) - 2 * cls.unit(other)
+            for clone in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+                assert type(clone) is cls and clone == v
+                with pytest.raises(TypeError):
+                    clone.terms[key] = 2
+        v = TabloidVector.unit(FLAT_TWO)
+        with pytest.raises(TypeError):
+            v.terms[FLAT_TWO] = 1.5
+        straightened = garnir_straighten(v)
+        assert straightened == garnir_straighten(FLAT_TWO)
+        assert all(type(c) is int for c in straightened.terms.values())
+        with pytest.raises(TypeError):
+            straightened.terms[BASE_TWO] = 0
 
     def test_zero_coefficients_dropped(self):
         for cls, size, key, _, _ in SPACES:

@@ -232,13 +232,13 @@ class TestVerify:
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_step_budget_trip_point(self, capsys):
-        # 2,398 rewrite steps straighten every cup at n = 7 along the edges.
+        # 4,490 rewrite steps straighten every cup at n = 7 in one sweep.
         psi = ("verify", "-n", "7", "psi", "--step-budget")
-        code, out, _ = run(capsys, *psi, "2398")
+        code, out, _ = run(capsys, *psi, "4490")
         assert code == 0 and json.loads(out)[0]["passed"]
-        code, out, err = run(capsys, *psi, "2397")
+        code, out, err = run(capsys, *psi, "4489")
         assert code == 2 and out == ""
-        assert err == "error: straightening exceeded 2397 rewrite steps\n"
+        assert err == "error: straightening exceeded 4489 rewrite steps\n"
 
     def test_self_test_all_fails(self, capsys):
         code, _, _ = run(capsys, "verify", "-n", "2", "all", "--self-test")

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -56,6 +58,18 @@ class TestMatching:
         for dot in (0, 7):
             with pytest.raises(KeyError):
                 m.partner(dot)
+
+    def test_is_read_only(self):
+        # A write would change the hash of a matching already held in a set.
+        for m in (Matching([(1, 2), (3, 4)]), cup_of_tableau(t0(2))):
+            held = {m}
+            with pytest.raises(AttributeError):
+                m.arcs = ((1, 3), (2, 4))
+            with pytest.raises(AttributeError):
+                del m.arcs
+            assert m.arcs == ((1, 2), (3, 4)) and m in held
+            for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+                assert type(clone) is type(m) and clone == m
 
     @pytest.mark.parametrize(
         "arcs", [[(1, 2), (2, 3)], [(1, 2), (4, 5)], [(1, 1), (2, 3)]]

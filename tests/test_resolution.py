@@ -97,6 +97,12 @@ class TestResolveStep:
         flat = StandardTableau((1, 2), (3, 4))
         assert not check_witness(flat, t0(2), script)
 
+    @pytest.mark.parametrize("kind", ["VV", "V", None, True])
+    def test_refuses_kinds_that_are_not_move_kinds(self, kind):
+        m = Matching([(1, 3), (2, 4)])
+        with pytest.raises(ValueError, match="is not a MoveKind"):
+            resolve_step(m, Crossing((1, 3), (2, 4)), kind)
+
     @given(matchings(), st.sampled_from([MoveKind.VV, MoveKind.NESTED]))
     def test_conserves_dots_and_reduces_crossings(self, m, kind):
         for c in crossings(m):
@@ -291,6 +297,12 @@ MALFORMED = {  # (t, s, script); each fails the ``Matching`` fold too
     "extra move": (T_FIVE, S_FIVE, WALK + WALK[-1:]),
     "empty on crossings": (FLAT, t0(2), []),
 }
+# The script of 1 2 4 / 3 5 6 onto itself is two nested moves; replayed with
+# kinds that are not ``MoveKind``s read as nested, it would land on the target.
+_SELF = StandardTableau((1, 2, 4), (3, 5, 6))
+MALFORMED.update({
+    f"kind {kind!r}": (_SELF, _SELF, [Move(m.crossing, kind) for m in witness_path(_SELF, _SELF)])
+    for kind in ("VV", "V", None, True)})
 
 
 class TestWitnessPath:

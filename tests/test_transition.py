@@ -42,7 +42,6 @@ from cupweb import (
 )
 import cupweb.resolution as resolution_module
 import cupweb.transition as transition_module
-from cupweb.actions import DEFAULT_STEP_BUDGET
 from cupweb.cli import main
 from cupweb.errors import SizeLimitError
 from _oracles import brute_resolve, dense_inverse, polytabloid_model, psi_by_sweep
@@ -344,6 +343,7 @@ class TestHandBuiltIndex:
         matrix = transition_matrix(4)
         assert verify_unitriangular(matrix).passed
         assert verify_positivity(matrix).passed
+        assert verify_psi(matrix).passed
         assert build_tableau_graph.cache_info().currsize == 0
 
 
@@ -487,14 +487,6 @@ def _stripped(column: dict) -> dict:
     return {k: v for k, v in column.items() if v}
 
 
-def _parent_edges(graph) -> dict:
-    """dst -> (src, i): the first edge into each tableau, as ``verify_psi`` reads it."""
-    parent = {}
-    for src, dst, i in graph.edges:
-        parent.setdefault(dst, (src, i))
-    return parent
-
-
 def _smallest_psi_budget(n: int) -> int:
     matrix = transition_matrix(n)
 
@@ -542,13 +534,12 @@ def _witness_off_the_inverse(matrix: TransitionMatrix) -> str | None:
 
 
 class TestPsiAlongEdges:
-    """verify_psi straightens the cups along one parent edge per tableau."""
+    """verify_psi and inverse_matrix straighten all the cups in one sweep."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_equals_the_one_sweep_oracle(self, n):
         matrix = transition_matrix(n)
-        columns, psi = transition_module._psi_along_edges(n, DEFAULT_STEP_BUDGET)
-        assert columns == [t.columns() for t in matrix.index]
+        psi = [dict(col) for col in inverse_matrix(matrix).columns]
         swept = [_stripped(col) for col in psi_by_sweep(matrix)]
         assert psi == swept
         # At n = 7 the dense oracle alone takes about 1 s; there psi, read
@@ -562,16 +553,16 @@ class TestPsiAlongEdges:
         real = transition_module._straighten
         per_sweep = []
 
-        def spy(seeds, budget, spent=0):
-            out, steps = real(seeds, budget, spent)
-            per_sweep.append(steps - spent)
+        def spy(seeds, budget):
+            out, steps = real(seeds, budget)
+            per_sweep.append(steps)
             return out, steps
 
         monkeypatch.setattr(transition_module, "_straighten", spy)
         assert verify_psi(transition_matrix(5)).passed
         monkeypatch.undo()
-        # The budget covers the rewrites of every sweep of the call.
-        assert sum(per_sweep) == cold > max(per_sweep)
+        # The budget covers the rewrites of the call's one sweep.
+        assert per_sweep == [cold]
         assert verify_psi(transition_matrix(6)).passed
         after_n6 = _smallest_psi_budget(5)
         rng = random.Random(15)
@@ -622,22 +613,6 @@ class TestPsiAlongEdges:
             assert (max(widths) > 64) == wide
             seen_wide |= wide
         assert seen_wide == (step > 1)
-
-    def test_a_failed_edge_fails_its_subtree(self, monkeypatch):
-        n = 5
-        parent = _parent_edges(build_tableau_graph(n))
-        real = transition_module._edge_identity_holds
-        for v in (1, 6, 20, 41):
-            cut = cup_of_tableau(transition_matrix(n).index[v]).arcs
-            monkeypatch.setattr(  # the parent edge into v fails
-                transition_module, "_edge_identity_holds",
-                lambda src, dst, i, cut=cut: dst != cut and real(src, dst, i))
-            _, psi = transition_module._psi_along_edges(n, DEFAULT_STEP_BUDGET)
-            subtree = {v}
-            for dst in sorted(parent):  # parents come first in this order
-                if parent[dst][0] in subtree:
-                    subtree.add(dst)
-            assert {k for k, vec in enumerate(psi) if vec is None} == subtree
 
 
 class TestPackedProduct:
@@ -694,14 +669,15 @@ class TestPackedProduct:
     def test_a_psi_that_would_alias_in_w_bit_fields_fails(self, w, monkeypatch):
         # M psi_1 = (2^w, 0) packs to 1 << w in fields of w bits, so the
         # width must grow with ||psi||_1 and not only with |M|.
-        real = transition_module._psi_along_edges
-
-        def aliased(n, step_budget):
-            columns, psi = real(n, step_budget)
-            return columns, [psi[0], {0: 1 << w}]
-
-        monkeypatch.setattr(transition_module, "_psi_along_edges", aliased)
         matrix = transition_matrix(2)
+        real = transition_module._straighten
+
+        def aliased(seeds, step_budget):
+            _, steps = real(seeds, step_budget)
+            # psi_0 = {0: 1} as straightened, psi_1 = {0: 2^w}
+            return {matrix.index[0].columns(): {0: 1, 1: 1 << w}}, steps
+
+        monkeypatch.setattr(transition_module, "_straighten", aliased)
         assert verify_psi(matrix).checks[0].witness == f"web of {matrix.index[1].row_word()}"
 
     def test_a_term_outside_the_index_fails_its_column(self):
@@ -776,23 +752,6 @@ class TestEdgeIdentity:
             assert len(shared) == n - 2 and all(len(r) == 2 for r in rests)
             assert len(set().union(*map(set, rests[0]))) == 4
             assert self._sum(*zip(rests, (1, -1, 1))) == {}
-            assert transition_module._edge_identity_holds(w_src, w_dst, i)
-
-    @pytest.mark.parametrize("n", range(2, 6))
-    def test_refuses_cups_that_are_not_matchings(self, n):
-        graph = build_tableau_graph(n)
-        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
-        for src, dst, i in graph.edges:
-            w_src, w_dst = cups[src], cups[dst]
-            shared = [c for c in w_dst if c in w_src]
-            assert transition_module._edge_identity_holds(w_src, w_dst, i)
-            for c in shared:
-                dropped = tuple(x for x in w_dst if x != c)
-                assert not transition_module._edge_identity_holds(w_src, dropped, i)
-                doubled = tuple(shared[0] if x == c else x for x in w_dst)
-                if doubled != w_dst:
-                    assert not transition_module._edge_identity_holds(
-                        w_src, doubled, i)
 
     @pytest.mark.parametrize("n", range(1, 5))
     def test_holds_on_whole_fillings(self, n):
@@ -801,23 +760,6 @@ class TestEdgeIdentity:
         for src, dst, i in graph.edges:
             w_src, w_dst, moved = self._cups_and_moved(cups, src, dst, i)
             assert self._sum((w_dst, 1), (moved, -1), (w_src, 1)) == {}
-
-    @pytest.mark.parametrize("n", range(1, 5))
-    def test_the_check_holds_only_where_the_identity_does(self, n):
-        # Every pair of tableaux and every i, edges or not: a pass is sound.
-        graph = build_tableau_graph(n)
-        cups = [cup_of_tableau(t).arcs for t in graph.vertices]
-        vertices = range(len(cups))
-        refused = 0
-        for src in vertices:
-            for dst in vertices:
-                for i in range(1, 2 * n):
-                    w_src, w_dst, moved = self._cups_and_moved(cups, src, dst, i)
-                    if transition_module._edge_identity_holds(w_src, w_dst, i):
-                        assert self._sum((w_dst, 1), (moved, -1), (w_src, 1)) == {}
-                    else:
-                        refused += 1
-        assert refused > len(vertices) ** 2 * (2 * n - 1) // 2
 
 
 class TestPsiMutations:
@@ -843,37 +785,31 @@ class TestPsiMutations:
         assert report.checks[0].witness == f"web of {tab.row_word()}"
 
     def test_a_wrong_table_entry_fails_its_first_reader(self, monkeypatch):
-        n = 5
-        matrix = transition_matrix(n)
-        parent = _parent_edges(build_tableau_graph(n))
-        truth = [_stripped(col) for col in psi_by_sweep(matrix)]
+        # The sweep's output is the table psi is read from, and only column
+        # c reads label c: one wrong coefficient there fails column c.
+        matrix = transition_matrix(5)
         real = transition_module._straighten
         labels = []
 
-        def spy(seeds, budget, spent=0):
-            labels.extend(k for vec in seeds.values() for k in vec if k is not None)
-            return real(seeds, budget, spent)
+        def spy(seeds, budget):
+            labels.extend(k for vec in seeds.values() for k in vec)
+            return real(seeds, budget)
 
         monkeypatch.setattr(transition_module, "_straighten", spy)
         assert verify_psi(matrix).passed
-        assert len(labels) == len(set(labels)) > 10
+        assert sorted(labels) == list(range(matrix.size))
         base = matrix.index[0].columns()
-        for label in labels[::5]:
-            t, i = label  # the table entry S(T, i), T by its position
+        for c in labels[::5]:
 
-            def corrupt(seeds, budget, spent=0):
-                out, steps = real(seeds, budget, spent)
-                if any(label in vec for vec in seeds.values()):
-                    vec = out.setdefault(base, {})
-                    vec[label] = vec.get(label, 0) + 1
+            def corrupt(seeds, budget, c=c):
+                out, steps = real(seeds, budget)
+                vec = out.setdefault(base, {})
+                vec[c] = vec.get(c, 0) + 1
                 return out, steps
 
             monkeypatch.setattr(transition_module, "_straighten", corrupt)
-            reader = min(dst for dst, (src, j) in parent.items()
-                         if j == i and t in truth[src])
             report = verify_psi(matrix)
-            assert report.checks[0].witness == (
-                f"web of {matrix.index[reader].row_word()}")
+            assert report.checks[0].witness == f"web of {matrix.index[c].row_word()}"
 
 
 class TestOrderConjecture:

@@ -1,5 +1,13 @@
+import copy
+import os
+import pickle
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import cupweb
 from cupweb import (
     EntryCase,
     SizeLimitError,
@@ -198,6 +206,31 @@ class TestTableauGraph:
             if classify(tab, i) is EntryCase.BELOW
         )
         assert graph.edges == expected
+
+    def test_cached_graph_is_read_only(self):
+        graph = build_tableau_graph(3)
+        for write in (lambda: setattr(graph, "edges", ()),
+                      lambda: delattr(graph, "descendants"),
+                      lambda: graph._position.clear()):
+            with pytest.raises(AttributeError):
+                write()
+        with pytest.raises(TypeError):
+            graph._position[t0(3)] = 1
+        for clone in (copy.copy(graph), copy.deepcopy(graph), pickle.loads(pickle.dumps(graph))):
+            assert clone == graph and clone.position(t0(3)) == 0
+        # A later call returns the graph that a cold process builds.
+        src = str(Path(cupweb.__file__).resolve().parent.parent)
+        cold = subprocess.run(
+            [sys.executable, "-c",
+             "from cupweb import build_tableau_graph\n"
+             "g = build_tableau_graph(3)\n"
+             "print(repr((g, g.descendants, list(map(g.position, g.vertices)))))"],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=src)).stdout
+        g = build_tableau_graph(3)
+        assert cold == repr((g, g.descendants, list(map(g.position, g.vertices)))) + "\n"
+        assert all(leq(s, t, g) == first_row_dominates(s, t)
+                   for s in g.vertices for t in g.vertices)
 
     def test_edge_matches_swap(self):
         graph = build_tableau_graph(4)
