@@ -95,31 +95,22 @@ class TwoRowTableau:
         return f"TwoRowTableau({top!r} / {bottom!r})"
 
 
-def canonicalize_columns(
-    columns: Iterable[Sequence[int]],
-) -> tuple[TwoRowTableau, int]:
-    """Sort a raw column list into normal form, returning the sign picked up."""
-    sign = 1
-    fixed = []
-    for a, b in columns:
-        if a > b:
-            a, b = b, a
-            sign = -sign
-        fixed.append((a, b))
-    fixed.sort()
-    return TwoRowTableau(tuple(fixed)), sign
-
-
-def _relabel(columns, i: int) -> tuple[tuple[tuple[int, int], ...], int]:
-    """Columns with i and i+1 exchanged, in normal form, and the sign it costs."""
-    swap = {i: i + 1, i + 1: i}
+def _normal_form(columns) -> tuple[tuple[tuple[int, int], ...], int]:
+    """Columns with the smaller entry on top, sorted, and the sign of the flips."""
     sign, out = 1, []
     for a, b in columns:
-        a, b = swap.get(a, a), swap.get(b, b)
         if a > b:
             a, b, sign = b, a, -sign
         out.append((a, b))
     return tuple(sorted(out)), sign
+
+
+def canonicalize_columns(
+    columns: Iterable[Sequence[int]],
+) -> tuple[TwoRowTableau, int]:
+    """Sort a raw column list into normal form, returning the sign picked up."""
+    fixed, sign = _normal_form(columns)
+    return TwoRowTableau(fixed), sign
 
 
 class _SparseVector:
@@ -376,11 +367,13 @@ def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:
     """
     if not 1 <= i <= 2 * v.n - 1:
         raise ValueError(f"generator index {i} out of range for n={v.n}")
+    swap = {i: i + 1, i + 1: i}
     swapped: dict[TwoRowTableau, int] = {}
     for key, coeff in v.terms.items():
         if not key.is_standard():
             raise ValueError(f"key {key!r} is not standard")
-        columns, sign = _relabel(key.columns, i)
+        columns, sign = _normal_form(
+            (swap.get(a, a), swap.get(b, b)) for a, b in key.columns)
         tab = TwoRowTableau._trusted(columns)  # a relabelled key stays in normal form
         swapped[tab] = swapped.get(tab, 0) + sign * coeff
     return garnir_straighten(TabloidVector(v.n, swapped))

@@ -22,7 +22,7 @@ from contextlib import nullcontext
 from pathlib import Path
 
 from .actions import DEFAULT_STEP_BUDGET
-from .diagrams import Matching, column_matching, render_ascii, render_tikz
+from .diagrams import Matching, _dot, column_matching, render_ascii, render_tikz
 from .resolution import (
     DEFAULT_NODE_BUDGET,
     build_resolution_graph,
@@ -112,13 +112,8 @@ def _emit(args, doc) -> None:
 
 
 def tableau_graph_dot(graph: TableauGraph) -> str:
-    lines = ["digraph tableau_graph {", "  rankdir=TB;"]
-    for k, v in enumerate(graph.vertices):
-        lines.append(f'  t{k} [label="{v.row_word()}"];')
-    for a, b, i in graph.edges:
-        lines.append(f'  t{a} -> t{b} [label="s_{i}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("tableau_graph", "t", (v.row_word() for v in graph.vertices),
+                ((a, b, f"s_{i}") for a, b, i in graph.edges))
 
 
 def tableau_graph_json(graph: TableauGraph) -> dict:

@@ -237,3 +237,11 @@ def render_tikz(m: Matching) -> str:
     out.append(r"\end{tikzpicture}")
     out.append(r"\end{document}")
     return "\n".join(out) + "\n"
+
+
+def _dot(name: str, prefix: str, labels: Iterable[str],
+         edges: Iterable[tuple[int, int, str]]) -> str:
+    """DOT text of a digraph: node k is ``{prefix}{k}``, an edge is (src, dst, label)."""
+    nodes = (f'  {prefix}{k} [label="{label}"];' for k, label in enumerate(labels))
+    arrows = (f'  {prefix}{a} -> {prefix}{b} [label="{label}"];' for a, b, label in edges)
+    return "\n".join([f"digraph {name} {{", "  rankdir=TB;", *nodes, *arrows, "}"]) + "\n"

@@ -54,6 +54,7 @@ from .diagrams import (
     CupDiagram,
     Crossing,
     Matching,
+    _dot,
     crossings,
     cup_of_tableau,
 )
@@ -78,6 +79,10 @@ class MoveKind(enum.Enum):
 class Move:
     crossing: Crossing
     kind: MoveKind
+
+    def __post_init__(self):
+        if type(self.kind) is not MoveKind:
+            raise ValueError(f"move kind {self.kind!r} is not a MoveKind")
 
     def to_json(self) -> dict:
         return {
@@ -157,9 +162,11 @@ def build_resolution_graph(
 ) -> ResolutionGraph:
     """Expand ``m`` by both moves on one strategy-chosen crossing per node.
 
-    Raises ``SizeLimitError`` when the tree has more than ``node_budget``
-    nodes, the count ``resolve_full`` uses too.
+    The tree has 2 * (sum of multiplicities) - 1 nodes for every strategy,
+    so ``resolve_full`` sizes it first: a tree of more than ``node_budget``
+    nodes raises its ``SizeLimitError`` before any node is built.
     """
+    resolve_full(m, node_budget)
     nodes = [m]
     edges: list[tuple[int, Move, int]] = []
     queue = deque([0])
@@ -172,12 +179,7 @@ def build_resolution_graph(
         chosen = _pick(strategy, nodes[k], found, expansions)
         expansions += 1
         for kind in (MoveKind.VV, MoveKind.NESTED):
-            child = resolve_step(nodes[k], chosen, kind)
-            if len(nodes) >= node_budget:
-                raise SizeLimitError(
-                    f"resolution graph exceeded {node_budget} nodes"
-                )
-            nodes.append(child)
+            nodes.append(resolve_step(nodes[k], chosen, kind))
             edges.append((k, Move(chosen, kind), len(nodes) - 1))
             queue.append(len(nodes) - 1)
     return ResolutionGraph(m, nodes, edges)
@@ -400,14 +402,9 @@ def check_witness(
 
 def resolution_graph_dot(graph: ResolutionGraph) -> str:
     """DOT text for a resolution tree; nodes carry arc lists."""
-    lines = ["digraph resolution {", "  rankdir=TB;"]
-    for k, node in enumerate(graph.nodes):
-        label = "".join(f"({a},{b})" for a, b in node.arcs)
-        lines.append(f'  n{k} [label="{label}"];')
-    for src, move, dst in graph.edges:
-        lines.append(f'  n{src} -> n{dst} [label="{move.kind.label}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return _dot("resolution", "n",
+                ("".join(f"({a},{b})" for a, b in node.arcs) for node in graph.nodes),
+                ((src, dst, move.kind.label) for src, move, dst in graph.edges))
 
 
 def sinks_to_json(n2: int, sinks: dict[CupDiagram, int]) -> dict:

@@ -56,6 +56,9 @@ class TransitionMatrix:
     def __post_init__(self):
         object.__setattr__(self, "columns", tuple(map(MappingProxyType, self.columns)))
 
+    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
+        return type(self), (self.n, self.index, tuple(map(dict, self.columns)))
+
     @property
     def size(self) -> int:
         return len(self.index)

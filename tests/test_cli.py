@@ -16,6 +16,7 @@ from cupweb.resolution import sinks_to_json
 
 WITNESS_T = '{"top": [1, 2, 4, 5, 7], "bottom": [3, 6, 8, 9, 10]}'
 WITNESS_S = '{"top": [1, 3, 4, 6, 9], "bottom": [2, 5, 7, 8, 10]}'
+FOUR_ARCS = '{"arcs": [[1,5],[2,6],[3,7],[4,8]]}'  # 16 sinks, a tree of 31 nodes
 
 
 def run(capsys, *argv):
@@ -169,6 +170,17 @@ class TestResolve:
         assert code == 0
         assert len(json.loads(out)["sinks"]) == 4
 
+    def test_oversized_tree_is_refused_with_the_kernel_message(self, capsys):
+        # Both formats trip at the same budget, with the same one line.
+        for fmt in ("dot", "json"):
+            code, out, err = run(capsys, "resolve", FOUR_ARCS, "--format", fmt,
+                                 "--node-budget", "30")
+            assert (code, out) == (2, "")
+            assert err == "error: resolution exceeded its node budget\n"
+            code, out, _ = run(capsys, "resolve", FOUR_ARCS, "--format", fmt,
+                               "--node-budget", "31")
+            assert code == 0 and out
+
     def test_malformed_json(self, capsys):
         code, _, err = run(capsys, "resolve", "{not json")
         assert code == 2
@@ -282,6 +294,26 @@ class TestPinnedReports:
         out = re.sub(r'"timestamp": "[^"]*"', '"timestamp": ""', out)
         body = out.encode()
         assert (got, err) == (code, "")
+        assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
+
+
+class TestPinnedDot:
+    """DOT exports pinned by digest: one layout writes every graph."""
+
+    @pytest.mark.parametrize("argv, size, digest", [
+        (["graph", "-n", "5", "--format", "dot"], 4020,
+         "33327ce314caa3f4cab4b7104cbb7ccf1908cf11cd279208b40e07458d2fd36e"),
+        (["render", '{"tableau_graph": 4}', "--format", "dot"], 1076,
+         "a6c5b46ffdd42cd38f863296c391728e5348937a75aa00feafe923029a313ef0"),
+        (["resolve", FOUR_ARCS, "--format", "dot"], 1975,
+         "3e18d6d1078c282e646998455e2199bcfd6be6be51171125e37d6c98169ec9ce"),
+        (["resolve", FOUR_ARCS, "--format", "dot", "--strategy", "scripted:1,0,2"], 1971,
+         "cab3b061a6e7cae36d019e5208f53a1df55975a840fe35c38a26851ae904a213"),
+    ], ids=["graph-5", "render-tableau-graph-4", "resolve-first", "resolve-scripted"])
+    def test_digest(self, capsys, argv, size, digest):
+        code, out, err = run(capsys, *argv)
+        body = out.encode()
+        assert (code, err) == (0, "")
         assert (len(body), hashlib.sha256(body).hexdigest()) == (size, digest)
 
 

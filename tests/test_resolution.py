@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -140,6 +141,25 @@ class TestResolutionGraph:
     def test_node_budget(self):
         with pytest.raises(SizeLimitError):
             build_resolution_graph(THREE_COLUMN, node_budget=3)
+
+    def test_oversized_tree_builds_nothing(self, monkeypatch):
+        # resolve_full sizes the tree first, so no node is made, and an
+        # unknown strategy is never consulted.
+        calls = []
+        step = resolution_module.resolve_step
+        monkeypatch.setattr(resolution_module, "resolve_step",
+                            lambda *args: calls.append(args) or step(*args))
+        m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
+        for strategy in ("first", "fastest"):
+            with pytest.raises(SizeLimitError, match="resolution exceeded its node budget"):
+                build_resolution_graph(m, strategy, node_budget=30)
+        assert calls == []
+        assert len(build_resolution_graph(m, node_budget=31).nodes) == 31
+        assert len(calls) == 30
+
+    def test_zero_budget_refuses_even_the_root(self):
+        with pytest.raises(SizeLimitError, match="resolution exceeded its node budget"):
+            build_resolution_graph(Matching([(1, 2), (3, 4)]), node_budget=0)
 
     def test_dot_export(self):
         text = resolution_graph_dot(build_resolution_graph(Matching([(1, 3), (2, 4)])))
@@ -299,9 +319,11 @@ MALFORMED = {  # (t, s, script); each fails the ``Matching`` fold too
 }
 # The script of 1 2 4 / 3 5 6 onto itself is two nested moves; replayed with
 # kinds that are not ``MoveKind``s read as nested, it would land on the target.
+# ``Move`` refuses such a kind, so a stand-in with its two attributes carries it.
 _SELF = StandardTableau((1, 2, 4), (3, 5, 6))
 MALFORMED.update({
-    f"kind {kind!r}": (_SELF, _SELF, [Move(m.crossing, kind) for m in witness_path(_SELF, _SELF)])
+    f"kind {kind!r}": (_SELF, _SELF, [SimpleNamespace(crossing=m.crossing, kind=kind)
+                                      for m in witness_path(_SELF, _SELF)])
     for kind in ("VV", "V", None, True)})
 
 
@@ -414,6 +436,11 @@ class TestCheckWitness:
         assert check_witness(FLAT, t0(3), script) is check_by_steps(FLAT, t0(3), script)
         with pytest.raises(ValueError):
             witness_path(FLAT, t0(3))
+
+    @pytest.mark.parametrize("kind", ["VV", "V", None, True])
+    def test_move_refuses_a_kind_that_is_not_a_move_kind(self, kind):
+        with pytest.raises(ValueError, match="is not a MoveKind"):
+            Move(Crossing((1, 3), (2, 4)), kind)
 
     def test_move_json_round_trip(self):
         move = Move(Crossing((1, 3), (2, 4)), MoveKind.NESTED)

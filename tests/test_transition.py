@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import random
 from array import array
 from types import SimpleNamespace
@@ -426,6 +428,16 @@ class TestInverse:
             transition_matrix(4).columns[0][13] = 5
         assert 13 not in transition_matrix(4).columns[0]
         assert verify_unitriangular(transition_matrix(4)).passed
+
+    def test_copy_and_pickle_round_trip(self):
+        cached = transition_matrix(2)
+        before = [dict(col) for col in cached.columns]
+        for twin in (copy.deepcopy(cached), pickle.loads(pickle.dumps(cached))):
+            assert twin == cached and twin is not cached
+            with pytest.raises(TypeError):
+                twin.columns[0][1] = 5
+        assert transition_matrix(2) is cached
+        assert [dict(col) for col in cached.columns] == before
 
 
 class TestPsi:
