@@ -266,7 +266,8 @@ def act_matching(i: int, v: DiagramVector) -> DiagramVector:
         else:
             key = swap_dots(m, i)
             out[key] = out.get(key, 0) + coeff
-    return DiagramVector(v.n2, out)
+    # Checked keys, relabelled, with int coefficients: no re-validation.
+    return DiagramVector._trusted(v.n2, {m: c for m, c in out.items() if c})
 
 
 def act_web(i: int, v: DiagramVector) -> DiagramVector:
@@ -421,4 +422,5 @@ def to_web_basis(v: DiagramVector) -> DiagramVector:
     for m, coeff in v.terms.items():
         for sink, mult in resolve_full(m).items():
             out[sink] = out.get(sink, 0) + coeff * mult
-    return DiagramVector(v.n2, out)
+    # Kernel sinks of the checked keys' size, with int coefficients.
+    return DiagramVector._trusted(v.n2, {w: c for w, c in out.items() if c})

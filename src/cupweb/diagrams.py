@@ -76,7 +76,13 @@ class Matching:
 
     @classmethod
     def from_json(cls, data: dict) -> "Matching":
-        m = cls(data["arcs"])
+        arcs = data.get("arcs") if isinstance(data, dict) else None
+        if not (isinstance(arcs, list) and all(
+                isinstance(arc, list) and len(arc) == 2
+                and all(type(d) is int for d in arc) for arc in arcs)):
+            raise ValueError('a matching must be {"arcs": [[a, b], ...]} '
+                             'with integer dots a, b')
+        m = cls(arcs)
         if "n2" in data:
             if type(data["n2"]) is not int:  # not isinstance: True is an int
                 raise ValueError(f"n2 {data['n2']!r} is not an integer")
@@ -86,7 +92,7 @@ class Matching:
 
 
 # The slot's own setter, past the refusing ``__setattr__``: about half the cost
-# of ``object.__setattr__`` on ``resolve_full``'s path, one matching per sink.
+# of ``object.__setattr__`` for the matchings that kernels build unchecked.
 _set_arcs = Matching.arcs.__set__
 
 
@@ -116,6 +122,17 @@ class Crossing:
         b, d = self.right
         if not a < b < c < d:
             raise ValueError(f"arcs {self.left}, {self.right} do not cross")
+
+    @classmethod
+    def _trusted(cls, left: tuple, right: tuple) -> "Crossing":
+        """A crossing of the arc tuples as given, without the checks.
+
+        For callers that have checked a < b < c < d on int dots themselves.
+        """
+        crossing = object.__new__(cls)
+        object.__setattr__(crossing, "left", left)
+        object.__setattr__(crossing, "right", right)
+        return crossing
 
 
 def crossing_pairs(arcs: tuple) -> Iterator[tuple]:
@@ -183,7 +200,10 @@ def swap_dots(m: Matching, i: int) -> Matching:
     if m.partner(i) == i + 1:
         raise ValueError(f"dots {i} and {i + 1} are joined by one arc")
     swap = {i: i + 1, i + 1: i}
-    return Matching((swap.get(a, a), swap.get(b, b)) for a, b in m.arcs)
+    # i and i+1 are not joined, so no arc's ends change order: only the
+    # arc list needs sorting to stay canonical.
+    return Matching._trusted(tuple(sorted(
+        (swap.get(a, a), swap.get(b, b)) for a, b in m.arcs)))
 
 
 _CELL = 3  # characters per dot column in ASCII renderings

@@ -21,6 +21,9 @@ insertion, with one crossing fewer, until none is left.  Later smoothings
 never touch (x, a) or (a, y), so the two branches share no sink: an
 insertion crossing c arcs has 2^c distinct sinks, counted before it is
 made, and each coefficient counts the branch paths ending at its cup.
+A second table holds one read-only ``CupDiagram`` per sink, made on its
+first use, which every result then shares as its key.  Only a call that
+succeeds adds to either table.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -37,7 +40,8 @@ of S appears as a leaf for the column matching of T.  The construction and
 the target cup as partner arrays, lists indexed by dot whose entry d is
 the dot joined to d (entry 0 unused), next to a sorted list of live dots:
 each move is read off the arrays and applied by rewiring four entries,
-with no ``Matching`` built in between.
+with no ``Matching`` built in between.  The construction checks that each
+move's arcs cross and then builds it without the constructors' checks.
 """
 
 from __future__ import annotations
@@ -84,6 +88,14 @@ class Move:
         if type(self.kind) is not MoveKind:
             raise ValueError(f"move kind {self.kind!r} is not a MoveKind")
 
+    @classmethod
+    def _trusted(cls, crossing: Crossing, kind: MoveKind) -> "Move":
+        """A move on ``crossing`` and ``kind`` as given, without the check."""
+        move = object.__new__(cls)
+        object.__setattr__(move, "crossing", crossing)
+        object.__setattr__(move, "kind", kind)
+        return move
+
     def to_json(self) -> dict:
         return {
             "left": list(self.crossing.left),
@@ -105,10 +117,10 @@ def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     if type(kind) is not MoveKind:
         raise ValueError(f"move kind {kind!r} is not a MoveKind")
     left, right = crossing.left, crossing.right
-    if not ({left, right} <= set(m.arcs)
-            and all(type(d) is int for d in left + right)):
-        raise ValueError(f"{crossing} is not a crossing of {m!r}")
     (a, c), (b, d) = left, right
+    if not ({left, right} <= set(m.arcs)
+            and all(type(x) is int for x in left + right) and a < b < c < d):
+        raise ValueError(f"{crossing} is not a crossing of {m!r}")
     rest = [arc for arc in m.arcs if arc != left and arc != right]
     rest += [(a, b), (c, d)] if kind is MoveKind.VV else [(a, d), (b, c)]
     # Two crossing arcs of m, smoothed: the same dots, so a valid matching.
@@ -190,6 +202,12 @@ def build_resolution_graph(
 # or the matrix build to n, the table holds at most the sum over k <= n of
 # C_{k-1} * (2k - 1) entries (8,788 at n = 8), however many calls filled it.
 _INSERTED: dict[tuple[tuple, int], tuple] = {}
+
+# The session's read-only sinks: arcs -> the one ``CupDiagram`` that every
+# ``resolve_full`` result uses as its key.  Its keys are sinks of the
+# insertions above, so it holds at most C_n diagrams of each dot count 2n
+# (1,430 at n = 8).
+_CUPS: dict[tuple, CupDiagram] = {}
 
 
 def insert_arc(cup: tuple, a: int) -> tuple:
@@ -281,11 +299,13 @@ def resolve_full(
 ) -> dict[CupDiagram, int]:
     """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
 
-    The dict's order is unspecified; a caller that shows one sorts it.
-    Raises ``SizeLimitError`` when the resolution tree has more than
-    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
-    leaves the session table as it found it.  The tree size, like the
-    sinks, is the same for every resolution strategy.
+    Each call returns a new dict, in an unspecified order; a caller that
+    shows one sorts it.  Its keys are the session's read-only diagrams in
+    ``_CUPS``, shared between calls.  Raises ``SizeLimitError`` when the
+    resolution tree has more than ``node_budget`` nodes, that is
+    2 * (sum of multiplicities) - 1, and leaves both session tables as it
+    found them.  The tree size, like the sinks, is the same for every
+    resolution strategy.
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
@@ -294,8 +314,10 @@ def resolve_full(
         for a in _peel(m.arcs):
             expansion = insert_level(expansion, a, node_budget)
     # A kernel sink has no crossing, and lifting and smoothing keep the dots
-    # a permutation, so the keys are built without validation.
-    return {CupDiagram._trusted(arcs): mult for arcs, mult in expansion.items()}
+    # a permutation, so a diagram new to the session is built unvalidated.
+    cup = _CUPS.get
+    return {cup(arcs) or _CUPS.setdefault(arcs, CupDiagram._trusted(arcs)): mult
+            for arcs, mult in expansion.items()}
 
 
 def _partners(arcs, n2: int) -> list[int]:
@@ -341,6 +363,18 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
     live = list(range(1, n2 + 1))
     moves: list[Move] = []
     level = 0
+
+    def step(left: tuple, right: tuple, kind: MoveKind) -> None:
+        # The dots are ints from the arrays, so checking that the arcs cross
+        # is all the public constructors would add.
+        if not left[0] < right[0] < left[1] < right[1]:
+            raise RuntimeError(
+                f"witness construction failed at level {level}: "
+                f"arcs {left}, {right} do not cross")
+        move = Move._trusted(Crossing._trusted(left, right), kind)
+        _smooth(cur, move.crossing, kind)
+        moves.append(move)
+
     while live:
         level += 1
         top_dot = live[-1]
@@ -354,14 +388,10 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
         k = bisect_left(live, b)
         # Phase 1: VV against the arcs ending in (a, b], nearest first.
         for r in live[bisect_right(live, a):k + 1]:
-            move = Move(Crossing((cur[r], r), (cur[top_dot], top_dot)), MoveKind.VV)
-            _smooth(cur, move.crossing, MoveKind.VV)
-            moves.append(move)
+            step((cur[r], r), (cur[top_dot], top_dot), MoveKind.VV)
         # Phase 2: nested against the arcs ending strictly after b, farthest first.
         for r in reversed(live[k + 1:-1]):
-            move = Move(Crossing((cur[r], r), (b, cur[b])), MoveKind.NESTED)
-            _smooth(cur, move.crossing, MoveKind.NESTED)
-            moves.append(move)
+            step((cur[r], r), (b, cur[b]), MoveKind.NESTED)
         b_next = live[k + 1]
         if cur[b] != b_next or target[b] != b_next:
             raise RuntimeError(
@@ -382,7 +412,8 @@ def check_witness(
     The script is replayed on the partner array of the column matching of
     ``t``.  Each move passes the checks ``resolve_step`` makes: its kind is
     a ``MoveKind``, its four dots are ints (``True`` and ``1.0`` are not)
-    in 1..2n, and both of its arcs are arcs of the current matching.
+    in 1..2n, its arcs (a, c) and (b, d) cross, a < b < c < d, and both are
+    arcs of the current matching.
     """
     n2 = 2 * t.n
     cur = _partners(t.columns(), n2)
@@ -392,7 +423,7 @@ def check_witness(
             (a, c), (b, d) = left, right
             if not (type(move.kind) is MoveKind
                     and all(type(x) is int and 0 < x <= n2 for x in left + right)
-                    and cur[a] == c and cur[b] == d):
+                    and a < b < c < d and cur[a] == c and cur[b] == d):
                 return False
             _smooth(cur, move.crossing, move.kind)
     except ValueError:

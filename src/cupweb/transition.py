@@ -46,7 +46,7 @@ class TransitionMatrix:
     ``columns[t]`` is ``{s: M[s][t]}`` over the nonzero entries of column t;
     an absent or stored-0 row is a zero.  Only ``entries`` and the exports
     build dense rows, afresh on each call.  Columns are stored read-only,
-    as ``MappingProxyType``s of the dicts given.
+    as ``MappingProxyType``s of copies of the mappings given.
     """
 
     n: int
@@ -54,7 +54,17 @@ class TransitionMatrix:
     columns: tuple[MappingProxyType[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(map(MappingProxyType, self.columns)))
+        object.__setattr__(self, "columns", tuple(
+            MappingProxyType(dict(col)) for col in self.columns))
+
+    @classmethod
+    def _trusted(cls, n: int, index: tuple, columns) -> "TransitionMatrix":
+        """A matrix over ``columns``, dicts that no one else holds, uncopied."""
+        matrix = object.__new__(cls)
+        object.__setattr__(matrix, "n", n)
+        object.__setattr__(matrix, "index", index)
+        object.__setattr__(matrix, "columns", tuple(map(MappingProxyType, columns)))
+        return matrix
 
     def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
         return type(self), (self.n, self.index, tuple(map(dict, self.columns)))
@@ -162,7 +172,7 @@ def transition_matrix(n: int) -> TransitionMatrix:
                                            DEFAULT_NODE_BUDGET)
                        for t in index}
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
-    return TransitionMatrix(n, index, tuple(
+    return TransitionMatrix._trusted(n, index, (
         {row_of[arcs]: mult for arcs, mult in columns.pop(t.top).items()}
         for t in index))
 
@@ -361,7 +371,7 @@ def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
     if len(inverse) < matrix.size:
         raise ValueError("the straightened cups do not invert the matrix: "
                          f"web of {matrix.index[len(inverse)].row_word()}")
-    return TransitionMatrix(matrix.n, matrix.index, inverse)
+    return TransitionMatrix._trusted(matrix.n, matrix.index, inverse)
 
 
 def verify_psi(

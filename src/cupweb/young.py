@@ -100,7 +100,13 @@ class StandardTableau:
 
     @classmethod
     def from_json(cls, data: dict) -> "StandardTableau":
-        return cls(data["top"], data["bottom"])
+        rows = ([data.get("top"), data.get("bottom")] if isinstance(data, dict)
+                else [None])
+        if not all(isinstance(row, list) and all(type(x) is int for x in row)
+                   for row in rows):
+            raise ValueError('a tableau must be {"top": [...], "bottom": [...]} '
+                             'with integer entries')
+        return cls(*rows)
 
     def __repr__(self) -> str:
         return f"StandardTableau({self.row_word()!r})"

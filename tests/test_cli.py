@@ -369,6 +369,30 @@ class TestRender:
 class TestMalformedShapes:
     """JSON of the wrong shape is bad input: exit 2 and a one-line error."""
 
+    MATCHING = 'error: a matching must be {"arcs": [[a, b], ...]} with integer dots a, b\n'
+    TABLEAU = ('error: a tableau must be {"top": [...], "bottom": [...]} '
+               'with integer entries\n')
+    OK_TABLEAU = '{"top": [1, 2], "bottom": [3, 4]}'
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["resolve", "{}"], MATCHING),
+            (["resolve", "[[1, 2]]"], MATCHING),
+            (["resolve", '{"arcs": [[1, 2, 3], [4, 5, 6]]}'], MATCHING),
+            (["resolve", '{"arcs": [["a", 1], [2, 3]]}'], MATCHING),
+            (["render", '{"arcs": [[1, [2]]]}'], MATCHING),
+            (["witness", '{"top": [1, 2]}', OK_TABLEAU], TABLEAU),
+            (["witness", OK_TABLEAU, "[1, 2]"], TABLEAU),
+            (["witness", '{"top": ["a", 2], "bottom": [3, 4]}', OK_TABLEAU], TABLEAU),
+        ],
+        ids=["no-arcs", "list-root", "triple-arcs", "str-dot", "list-dot",
+             "no-bottom", "list-tableau", "str-entry"],
+    )
+    def test_message_names_the_expected_shape(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", message)
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -22,7 +22,7 @@ from cupweb import (
     t0,
     tableau_of_cup,
 )
-from _oracles import brute_crossing_pairs, random_matching_arcs
+from _oracles import all_pairings, brute_crossing_pairs, random_matching_arcs
 
 T_FOUR = StandardTableau((1, 2, 4, 7), (3, 5, 6, 8))
 S_FIVE = StandardTableau((1, 3, 4, 6, 9), (2, 5, 7, 8, 10))
@@ -231,6 +231,18 @@ class TestSwapDots:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             swap_dots(self.M, 6)
+
+    def test_equals_the_validated_matching(self):
+        for n in range(1, 6):
+            for arcs in all_pairings(range(1, 2 * n + 1)):
+                m = Matching(arcs)
+                for i in range(1, 2 * n):
+                    if m.partner(i) == i + 1:
+                        continue
+                    swap = {i: i + 1, i + 1: i}
+                    got = swap_dots(m, i)
+                    want = Matching((swap.get(a, a), swap.get(b, b)) for a, b in arcs)
+                    assert type(got) is Matching and got.arcs == want.arcs
 
     @given(matchings(), st.integers(1, 9))
     def test_involution(self, m, i):

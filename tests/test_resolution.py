@@ -79,6 +79,12 @@ class TestResolveStep:
         with pytest.raises(ValueError):
             resolve_step(THREE_COLUMN, Crossing([1, 4], [2, 6]), MoveKind.VV)
 
+    def test_rejects_arcs_that_do_not_cross(self):
+        # Both are arcs of the matching; smoothed, they would give (3, 2).
+        flat = SimpleNamespace(left=(1, 2), right=(3, 4))
+        with pytest.raises(ValueError, match="is not a crossing"):
+            resolve_step(Matching([(1, 2), (3, 4)]), flat, MoveKind.NESTED)
+
     def test_list_arcs_are_smoothed(self):
         m = Matching([(1, 3), (2, 4)])
         c = Crossing([1, 3], [2, 4])
@@ -316,6 +322,10 @@ MALFORMED = {  # (t, s, script); each fails the ``Matching`` fold too
     "cut short": (T_FIVE, S_FIVE, WALK[:-1]),
     "extra move": (T_FIVE, S_FIVE, WALK + WALK[-1:]),
     "empty on crossings": (FLAT, t0(2), []),
+    # Both arcs are arcs of the source, but they do not cross: smoothed as
+    # nested anyway, they would land on the cup (1,4), (2,3) of the target.
+    "arcs that do not cross": (t0(2), FLAT, [SimpleNamespace(
+        crossing=SimpleNamespace(left=(1, 2), right=(3, 4)), kind=MoveKind.NESTED)]),
 }
 # The script of 1 2 4 / 3 5 6 onto itself is two nested moves; replayed with
 # kinds that are not ``MoveKind``s read as nested, it would land on the target.
@@ -392,6 +402,15 @@ class TestWitnessPath:
         for move in script:
             assert move.crossing in crossings(cur)
             cur = resolve_step(cur, move.crossing, move.kind)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_moves_equal_validated_moves(self, n):
+        for t, s in _dominating_pairs(n):
+            for move in witness_path(t, s):
+                left, right = move.crossing.left, move.crossing.right
+                assert move == Move(Crossing(list(left), list(right)), move.kind)
+                assert type(move) is Move and type(move.crossing) is Crossing
+                assert type(left) is type(right) is tuple
 
     def test_steps_equal_validated_matchings(self):
         rng = random.Random(3)
@@ -519,21 +538,54 @@ class TestInsertionResolution:
             resolve_full(Matching([]), node_budget=0)
 
     def test_session_table_is_bounded_by_n(self):
-        table = resolution_module._INSERTED
+        table, cups = resolution_module._INSERTED, resolution_module._CUPS
         table.clear()
+        cups.clear()
         for m in _all_matchings(5):
             resolve_full(m)
         # C_{k-1} cups of k - 1 arcs times 2k - 1 positions, for k <= 5
         assert len(table) <= 1 + 3 + 10 + 35 + 126
-        before = dict(table)
+        # one diagram per cup of 1 to 5 arcs, each a sink kept in the table
+        assert len(cups) <= 1 + 2 + 5 + 14 + 42
+        assert set(cups) <= {sink for sinks in table.values() for sink in sinks}
+        before, cups_before = dict(table), dict(cups)
         for m in _all_matchings(5):
             resolve_full(m)
         assert table == before
+        assert cups == cups_before
+        assert all(cups[arcs] is w for arcs, w in cups_before.items())
         # the insertions that insertions branch into stay within the bound
         table.clear()
+        cups.clear()
         for arcs in all_pairings(range(1, 13)):
             resolve_full(Matching(arcs))
         assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
+        assert len(cups) <= 132
+
+    def test_equal_sinks_are_one_object(self):
+        rng = random.Random(13)
+        cases = [Matching(random_matching_arcs(rng, 12)) for _ in range(30)]
+        first = {}
+        for m in cases:
+            for w in resolve_full(m):
+                assert first.setdefault(w.arcs, w) is w
+        for m in cases:
+            again = resolve_full(m)
+            assert again is not resolve_full(m)  # a new dict per call
+            assert all(first[w.arcs] is w for w in again)
+
+    def test_results_do_not_depend_on_the_session_tables(self):
+        rng = random.Random(14)
+        cases = [Matching(random_matching_arcs(rng, 2 * n))
+                 for n in (3, 5, 7) for _ in range(10)]
+        table, cups = resolution_module._INSERTED, resolution_module._CUPS
+        warm = [resolve_full(m) for m in cases]
+        table.clear()
+        cups.clear()
+        for m, expected in zip(cases, warm):
+            cold = resolve_full(m)
+            assert cold == expected == resolve_full(m)
+            assert {w.arcs: k for w, k in cold.items()} == brute_resolve(m.arcs)
 
     def test_insertion_equals_brute_force(self):
         table = resolution_module._INSERTED
@@ -580,18 +632,23 @@ class TestInsertionResolution:
 
     def test_refused_call_leaves_the_table_as_it_found_it(self):
         m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])  # a tree of 31 nodes
-        table = resolution_module._INSERTED
+        table, cups = resolution_module._INSERTED, resolution_module._CUPS
+
+        def cold():
+            table.clear()
+            cups.clear()
 
         def warm():
-            table.clear()
+            cold()
             resolve_full(Matching([(1, 3), (2, 5), (4, 7), (6, 8)]))
 
-        for prepare in (table.clear, warm):
+        for prepare in (cold, warm):
             prepare()
-            before = dict(table)
+            before, cups_before = dict(table), dict(cups)
             with pytest.raises(SizeLimitError):
                 resolve_full(m, node_budget=30)
             assert table == before
+            assert cups == cups_before
 
     def test_peel_equals_lowering_loop(self):
         cases = [arcs for n in range(7)

@@ -156,6 +156,14 @@ class TestMatrix:
             monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 543)
             assert transition_matrix(6).columns == cold.columns
 
+    def test_columns_given_are_copied(self):
+        col = {0: 1}
+        m = TransitionMatrix(1, transition_matrix(1).index, (col,))
+        col[0] = 2
+        assert m.entry(0, 0) == 1
+        with pytest.raises(TypeError):
+            m.columns[0][0] = 2
+
     def test_refused_build_leaves_the_table_as_it_found_it(self, monkeypatch):
         table = resolution_module._INSERTED
 
