@@ -18,6 +18,7 @@ change in a rewrite; all others are carried along untouched.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
@@ -118,9 +119,11 @@ class _SparseVector:
 
     A subclass names its key class, the size attribute that its keys and
     vectors share (``_size_name``), the key's tuple form that orders the JSON
-    records (``_order``), and ``_parse``, which reads one JSON record into a
-    key and the sign it costs.  Constructors check keys and coefficients;
-    arithmetic on checked operands builds through ``_trusted``.  A vector is
+    records (``_order``), the shape of one JSON record (``_record``), and
+    ``_parse``, which reads one record into a key and the sign it costs and
+    raises ``ValueError`` for a key of the wrong shape.  Constructors check
+    keys and coefficients; arithmetic on checked operands builds through
+    ``_trusted``.  A vector is
     read-only: its attributes refuse assignment and ``terms`` is a
     ``MappingProxyType``, which compares equal to a dict of the same items.
     """
@@ -204,6 +207,9 @@ class _SparseVector:
 
     @classmethod
     def from_json(cls, size: int, data: list[dict]):
+        if not (isinstance(data, list)
+                and all(isinstance(rec, dict) and "coeff" in rec for rec in data)):
+            raise ValueError(f"a {cls.__name__} must be a list of {cls._record}")
         terms = {}
         for rec in data:
             key, sign = cls._parse(rec)
@@ -230,6 +236,7 @@ class TabloidVector(_SparseVector):
 
     __slots__ = ()
     _key, _size_name, _order = TwoRowTableau, "n", "columns"
+    _record = '{"top": [...], "bottom": [...], "coeff": c}'
 
     @property
     def n(self) -> int:
@@ -237,7 +244,13 @@ class TabloidVector(_SparseVector):
 
     @staticmethod
     def _parse(rec: dict) -> tuple[TwoRowTableau, int]:
-        return canonicalize_columns(tuple(zip(rec["top"], rec["bottom"])))
+        top, bottom = rec.get("top"), rec.get("bottom")
+        if not (isinstance(top, list) and isinstance(bottom, list)
+                and len(top) == len(bottom)
+                and all(type(e) is int for e in top + bottom)):
+            raise ValueError('a filling must be {"top": [...], "bottom": [...]} '
+                             'with as many integer entries in each row')
+        return canonicalize_columns(zip(top, bottom))
 
 
 class DiagramVector(_SparseVector):
@@ -245,6 +258,7 @@ class DiagramVector(_SparseVector):
 
     __slots__ = ()
     _key, _size_name, _order = Matching, "n2", "arcs"
+    _record = '{"arcs": [[a, b], ...], "coeff": c}'
 
     @property
     def n2(self) -> int:
@@ -252,7 +266,7 @@ class DiagramVector(_SparseVector):
 
     @staticmethod
     def _parse(rec: dict) -> tuple[Matching, int]:
-        return Matching(rec["arcs"]), 1
+        return Matching.from_json(rec), 1
 
 
 def act_matching(i: int, v: DiagramVector) -> DiagramVector:
@@ -297,49 +311,73 @@ def _straighten(
     by bottom row, largest first, each after all its parents, with its
     final vector, and expanded once.  ``step_budget`` bounds these
     expansions, and their count is returned with the result.
+
+    A pending filling is one flat tuple (-b_1, ..., -b_n, a_1, ..., a_n),
+    whose natural order is the pop order, so the heap holds the fillings
+    themselves.  The keep-order child swaps two bottoms, and both children
+    are built by slicing; a new keep-order child takes over its parent's
+    vector.  A seed without labels yields nothing and is dropped, so no
+    pending vector is empty.  Results go back to column tuples built from
+    one shared pair tuple per column value.
     """
-    vectors = {cols: dict(vec) for cols, vec in seeds.items()}
-    heap = [(tuple([-b for _, b in cols]), cols) for cols in vectors]
+    vectors = {tuple([-b for _, b in cols] + [a for a, _ in cols]): dict(vec)
+               for cols, vec in seeds.items() if vec}
+    heap = list(vectors)
     heapify(heap)
+    pairs: dict[tuple[int, int], tuple[int, int]] = {}
     out = {}
     steps = 0
     while heap:
-        cols = heappop(heap)[1]
-        vec = vectors.pop(cols)
+        v = heappop(heap)
+        vec = vectors.pop(v)
         if not any(vec.values()):
             continue
-        bottoms = [b for _, b in cols]
-        high = x = 0  # entries start at 1: x = 0 while no bottom is nested
-        for b in bottoms:
-            if b > high:
-                high = b
-            elif not x or b < x:
-                x = b
-        if not x:
-            out[cols] = vec
+        n = len(v) >> 1
+        # Bottoms are negated here: ``low`` is minus the largest bottom so far
+        # and x minus the least nested one, ``none`` while no bottom is nested.
+        none = -2 * n - 1  # below every entry
+        low, x = 0, none
+        for e in v[:n]:
+            if e < low:
+                low = e
+            elif e > x:
+                x = e
+        if x == none:
+            cols = list(zip(v[n:], [-e for e in v[:n]]))
+            out[tuple(map(pairs.setdefault, cols, cols))] = vec
             continue
         steps += 1
         if steps > step_budget:
             raise SizeLimitError(
                 f"straightening exceeded {step_budget} rewrite steps"
             )
-        k = bottoms.index(x)
+        k = v.index(x)
         i = 0
-        while bottoms[i] < x:  # stops before k, at the first bottom above x
+        while v[i] > x:  # stops before k, at the first bottom above x
             i += 1
-        a, b = cols[i]
-        c = cols[k][0]
-        # normal form and i < k give a < c < x < b here
-        head, between, tail = cols[:i], cols[i + 1:k], cols[k + 1:]
-        keep_order = head + ((a, x),) + between + ((c, b),) + tail
-        resorted = head + ((a, c),) + tuple(sorted(between + tail + ((x, b),)))
-        for child, sign in ((keep_order, 1), (resorted, -1)):
-            target = vectors.get(child)
-            if target is None:
-                target = vectors[child] = {}
-                heappush(heap, (tuple([-e for _, e in child]), child))
+        b = v[i]
+        # With x and b negated, normal form and i < k give a < c < -x < -b for
+        # the tops a = v[n + i] and c = v[n + k].  The column (-x/-b) of the
+        # re-sorted child goes before the first top after column k above -x:
+        # its top at slot p, its bottom at slot q.
+        p = bisect_left(v, -x, n + k + 1)
+        q = p - n
+        keep_order = v[:i] + (x,) + v[i + 1:k] + (b,) + v[k + 1:]
+        resorted = (v[:i] + (-v[n + k],) + v[i + 1:k] + v[k + 1:q] + (b,)
+                    + v[q:n + k] + v[n + k + 1:p] + (-x,) + v[p:])
+        # One hash per child: a pending vector is never empty, so an empty
+        # one is new, and a new keep-order child takes ``vec`` itself.
+        target = vectors.setdefault(resorted, {})
+        if not target:
+            heappush(heap, resorted)
+        for label, coeff in vec.items():
+            target[label] = target.get(label, 0) - coeff
+        target = vectors.setdefault(keep_order, vec)
+        if target is vec:
+            heappush(heap, keep_order)
+        else:
             for label, coeff in vec.items():
-                target[label] = target.get(label, 0) + sign * coeff
+                target[label] = target.get(label, 0) + coeff
     return out, steps
 
 

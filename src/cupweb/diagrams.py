@@ -19,9 +19,13 @@ def _read_only(obj, *_):
 
 
 class Matching:
-    """A read-only involution on {1..2n} without fixed points, in arc-list form."""
+    """A read-only involution on {1..2n} without fixed points, in arc-list form.
 
-    __slots__ = ("arcs",)
+    The hash of the arc tuple is computed once, when the arcs are set, and
+    kept in a second slot, so the dicts keyed on matchings do not rehash it.
+    """
+
+    __slots__ = ("arcs", "_hash")
 
     def __init__(self, arcs: Iterable[Sequence[int]]):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
@@ -65,7 +69,7 @@ class Matching:
         return isinstance(other, Matching) and self.arcs == other.arcs
 
     def __hash__(self) -> int:
-        return hash(self.arcs)
+        return self._hash
 
     def __repr__(self) -> str:
         body = "".join(f"({a},{b})" for a, b in self.arcs)
@@ -91,9 +95,16 @@ class Matching:
         return m
 
 
-# The slot's own setter, past the refusing ``__setattr__``: about half the cost
+# The slots' own setters, past the refusing ``__setattr__``: about half the cost
 # of ``object.__setattr__`` for the matchings that kernels build unchecked.
-_set_arcs = Matching.arcs.__set__
+_set_arc_slot = Matching.arcs.__set__
+_set_hash_slot = Matching._hash.__set__
+
+
+def _set_arcs(m: Matching, arcs: tuple) -> None:
+    """Set the arcs of a new matching and its hash, that of the arc tuple."""
+    _set_arc_slot(m, arcs)
+    _set_hash_slot(m, hash(arcs))
 
 
 class CupDiagram(Matching):

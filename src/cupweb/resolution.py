@@ -105,8 +105,15 @@ class Move:
 
     @classmethod
     def from_json(cls, data: dict) -> "Move":
+        arcs = ([data.get("left"), data.get("right")] if isinstance(data, dict)
+                else [None])
+        if not (all(isinstance(arc, list) and len(arc) == 2
+                    and all(type(d) is int for d in arc) for arc in arcs)
+                and isinstance(data.get("kind"), str)):
+            raise ValueError('a move must be {"left": [a, c], "right": [b, d], '
+                             '"kind": "VV" or "V"} with integer dots')
         kind = MoveKind(data["kind"])
-        return cls(Crossing(tuple(data["left"]), tuple(data["right"])), kind)
+        return cls(Crossing(tuple(arcs[0]), tuple(arcs[1])), kind)
 
 
 Strategy = Union[str, Sequence[int], Callable[[Matching, list[Crossing]], Crossing]]
@@ -419,11 +426,10 @@ def check_witness(
     cur = _partners(t.columns(), n2)
     try:
         for move in script:
-            left, right = move.crossing.left, move.crossing.right
-            (a, c), (b, d) = left, right
+            (a, c), (b, d) = move.crossing.left, move.crossing.right
             if not (type(move.kind) is MoveKind
-                    and all(type(x) is int and 0 < x <= n2 for x in left + right)
-                    and a < b < c < d and cur[a] == c and cur[b] == d):
+                    and type(a) is type(b) is type(c) is type(d) is int
+                    and 0 < a < b < c < d <= n2 and cur[a] == c and cur[b] == d):
                 return False
             _smooth(cur, move.crossing, move.kind)
     except ValueError:

@@ -12,7 +12,10 @@ kernel of its own here: ``straighten_by_first_descent`` rewrites at the
 first bottom-row descent and pops fillings in Garnir order, the reference
 for the package kernel, which rewrites at the least nested bottom entry;
 ``psi_by_sweep`` straightens every cup with it in one sweep, the
-reference for the sweep of ``verify_psi`` and ``inverse_matrix``.  Two
+reference for the sweep of ``verify_psi`` and ``inverse_matrix``.
+``straighten_on_columns`` is the package kernel as it was on column
+tuples, the reference for its flat pending form, results, their order and
+step counts alike.  Two
 references reuse package code: ``witness_by_matchings`` and
 ``check_by_steps`` build and replay witness scripts on validated
 ``Matching`` objects with ``resolve_step``, the references for the
@@ -190,6 +193,60 @@ def straighten_by_first_descent(seeds, step_budget):
                     heappush(heap, (top_sum, neg_inversions + 1, child))
                 else:
                     heappush(heap, (*_garnir_key(child), child))
+            for label, coeff in vec.items():
+                target[label] = target.get(label, 0) + sign * coeff
+    return out, steps
+
+
+def straighten_on_columns(seeds, step_budget):
+    """The package kernel as it was on column tuples: the reference for its flat form.
+
+    The same contract as ``cupweb.actions._straighten``, and the same rule:
+    a filling is rewritten at the nested pair (a/b), (c/x), x the least
+    bottom entry below an earlier, larger one and (a/b) the first column
+    with b > x.  Fillings are pending as column tuples, popped from a heap
+    keyed by the negated bottom row, and each child is built column by
+    column, so results, their order and the step count must match.
+    """
+    vectors = {cols: dict(vec) for cols, vec in seeds.items()}
+    heap = [(tuple([-b for _, b in cols]), cols) for cols in vectors]
+    heapify(heap)
+    out = {}
+    steps = 0
+    while heap:
+        cols = heappop(heap)[1]
+        vec = vectors.pop(cols)
+        if not any(vec.values()):
+            continue
+        bottoms = [b for _, b in cols]
+        high = x = 0
+        for b in bottoms:
+            if b > high:
+                high = b
+            elif not x or b < x:
+                x = b
+        if not x:
+            out[cols] = vec
+            continue
+        steps += 1
+        if steps > step_budget:
+            raise SizeLimitError(
+                f"straightening exceeded {step_budget} rewrite steps"
+            )
+        k = bottoms.index(x)
+        i = 0
+        while bottoms[i] < x:
+            i += 1
+        a, b = cols[i]
+        c = cols[k][0]
+        head, between, tail = cols[:i], cols[i + 1:k], cols[k + 1:]
+        keep_order = head + ((a, x),) + between + ((c, b),) + tail
+        resorted = head + ((a, c),) + tuple(sorted(between + tail + ((x, b),)))
+        for child, sign in ((keep_order, 1), (resorted, -1)):
+            target = vectors.get(child)
+            if target is None:
+                target = vectors[child] = {}
+                heappush(heap, (tuple([-e for _, e in child]), child))
             for label, coeff in vec.items():
                 target[label] = target.get(label, 0) + sign * coeff
     return out, steps

@@ -38,6 +38,7 @@ from _oracles import (
     all_pairings,
     model_of_vector,
     straighten_by_first_descent,
+    straighten_on_columns,
 )
 
 T_FOUR = StandardTableau((1, 2, 4, 7), (3, 5, 6, 8))
@@ -219,6 +220,27 @@ class TestVectors:
         d = DiagramVector.unit(Matching([(1, 2), (3, 4)]), 5)
         assert DiagramVector.from_json(4, d.to_json()) == d
         assert DiagramVector.from_json(4, [{"arcs": [[1, 2], [3, 4]], "coeff": 5}]) == d
+
+    @pytest.mark.parametrize("cls, size, data, shape", [
+        (DiagramVector, 4, [{"coeff": 1}], r'a matching must be \{"arcs"'),
+        (DiagramVector, 4, [{"arcs": [["a", 1], [2, 3]], "coeff": 1}],
+         r'a matching must be \{"arcs"'),
+        (DiagramVector, 4, [{"arcs": [[1, 2], [3, 4]]}],
+         r'a DiagramVector must be a list of \{"arcs": \[\[a, b\], \.\.\.\], "coeff": c\}'),
+        (DiagramVector, 4, {"arcs": [[1, 2], [3, 4]], "coeff": 1},
+         r"a DiagramVector must be a list of"),
+        (TabloidVector, 2, [{"top": [1], "coeff": 1}], r'a filling must be \{"top"'),
+        (TabloidVector, 2, [{"top": [1, 2], "bottom": [3], "coeff": 1}],
+         r'a filling must be \{"top"'),
+        (TabloidVector, 2, [{"top": [1, 2], "bottom": [3, 4.0], "coeff": 1}],
+         r'a filling must be \{"top"'),
+        (TabloidVector, 2, [{"top": [1, 2], "bottom": [3, 4]}],
+         r'a TabloidVector must be a list of \{"top": \[\.\.\.\], "bottom"'),
+        (TabloidVector, 2, [[1, 2]], r"a TabloidVector must be a list of"),
+    ], ids=repr)
+    def test_json_of_the_wrong_shape(self, cls, size, data, shape):
+        with pytest.raises(ValueError, match=shape):
+            cls.from_json(size, data)
 
     @pytest.mark.parametrize("coeff", [1.5, 2.9, True, "1.5"], ids=repr)
     def test_json_refuses_inexact_coefficients(self, coeff):
@@ -554,6 +576,70 @@ class TestStraightening:
             got, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
             want, _ = straighten_by_first_descent(seeds, DEFAULT_STEP_BUDGET)
             assert nonzero_expansion(got) == nonzero_expansion(want)
+
+
+def assert_same_sweep(seeds):
+    """The kernel and its column-tuple form give the same result, in the same
+    order, zero coefficients included, after the same number of steps."""
+    got, got_steps = _straighten(seeds, DEFAULT_STEP_BUDGET)
+    want, want_steps = straighten_on_columns(seeds, DEFAULT_STEP_BUDGET)
+    assert got_steps == want_steps
+    assert list(got.items()) == list(want.items())
+    for cols, vec in got.items():
+        assert list(vec.items()) == list(want[cols].items())
+    return got_steps
+
+
+class TestFlatKernel:
+    """``_straighten`` holds pending fillings flat; the column-tuple kernel
+    it replaced is the reference, exactly."""
+
+    def test_every_cup_in_one_sweep(self):
+        for n in range(1, 8):
+            seeds = {}
+            for c, t in enumerate(enumerate_syt(n)):
+                seeds.setdefault(cup_of_tableau(t).arcs, {})[c] = 1
+            assert assert_same_sweep(seeds) == [0, 0, 1, 5, 28, 146, 787, 4490][n]
+
+    def test_random_fillings(self):
+        rng = random.Random(25)
+        for _ in range(300):
+            tab = random_filling(rng, rng.randint(1, 6))
+            assert_same_sweep({tab.columns: {None: rng.choice([-2, -1, 1, 2])}})
+
+    def test_vectors_with_shared_and_cancelling_keys(self):
+        # Seeds that are rewrite children of other seeds share fillings, and
+        # a child seeded with minus its parent's labels can cancel to zero; a
+        # seed without labels and one with a zero coefficient ride along.
+        rng = random.Random(2525)
+        for _ in range(50):
+            n = rng.randint(3, 7)
+            fillings = [random_filling(rng, n) for _ in range(rng.randint(2, 4))]
+            parent = next((tab for tab in fillings if not tab.is_standard()), None)
+            if parent is not None:
+                fillings += rewrite_children(parent)
+            seeds = {tab.columns: {label: rng.choice([-2, -1, 1, 2])
+                                   for label in rng.sample("abcd", rng.randint(1, 3))}
+                     for tab in fillings}
+            if parent is not None:
+                keep_order = rewrite_children(parent)[0].columns
+                seeds[keep_order] = {k: -c for k, c in seeds[parent.columns].items()}
+            seeds[random_filling(rng, n).columns] = rng.choice([{}, {"a": 0}])
+            steps = assert_same_sweep(seeds)
+            if steps:
+                for kernel in (_straighten, straighten_on_columns):
+                    with pytest.raises(SizeLimitError):
+                        kernel(seeds, steps - 1)
+
+    def test_standard_outputs_share_pair_tuples(self):
+        # One pair tuple per column value, so results kept by a caller cost
+        # no more than the column tuples they replace.
+        seeds = {cup_of_tableau(t).arcs: {c: 1} for c, t in enumerate(enumerate_syt(5))}
+        out, _ = _straighten(seeds, DEFAULT_STEP_BUDGET)
+        pairs = {}
+        for cols in out:
+            for col in cols:
+                assert pairs.setdefault(col, col) is col
 
 
 class TestIntertwining:

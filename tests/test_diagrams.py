@@ -51,7 +51,7 @@ class TestMatching:
 
     def test_holds_only_its_arcs(self):
         m = Matching([(1, 6), (2, 3), (4, 5)])
-        assert Matching.__slots__ == ("arcs",)
+        assert Matching.__slots__ == ("arcs", "_hash")
         assert CupDiagram.__slots__ == ()
         assert not hasattr(m, "__dict__")
         assert [m.partner(d) for d in range(1, 7)] == [6, 3, 2, 5, 4, 1]
@@ -70,6 +70,25 @@ class TestMatching:
             assert m.arcs == ((1, 2), (3, 4)) and m in held
             for clone in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
                 assert type(clone) is type(m) and clone == m
+
+    def test_hash_is_stored_once(self):
+        # Every way to build a matching sets the hash of its arc tuple, and
+        # the stored hash can be neither replaced nor removed.
+        arcs = ((1, 6), (2, 3), (4, 5))
+        built = [Matching([(6, 1), (3, 2), (5, 4)]), Matching._trusted(arcs),
+                 CupDiagram(arcs), CupDiagram._trusted(arcs),
+                 cup_of_tableau(StandardTableau((1, 2, 4), (3, 5, 6)))]
+        for m in built:
+            for clone in (m, copy.copy(m), copy.deepcopy(m),
+                          pickle.loads(pickle.dumps(m))):
+                assert clone.arcs == arcs and hash(clone) == hash(arcs)
+            with pytest.raises(AttributeError):
+                m._hash = 0
+            with pytest.raises(AttributeError):
+                del m._hash
+            assert hash(m) == hash(arcs)
+        for m in map(cup_of_tableau, enumerate_syt(4)):
+            assert hash(m) == hash(m.arcs)
 
     @pytest.mark.parametrize(
         "arcs", [[(1, 2), (2, 3)], [(1, 2), (4, 5)], [(1, 1), (2, 3)]]

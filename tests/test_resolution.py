@@ -466,6 +466,26 @@ class TestCheckWitness:
         assert Move.from_json(move.to_json()) == move
         assert move.to_json()["kind"] == "V"
 
+    @pytest.mark.parametrize("data", [
+        {"left": [1], "right": [2, 4], "kind": "VV"},
+        {"left": [1, 3], "kind": "VV"},
+        {"left": [1, 3.0], "right": [2, 4], "kind": "VV"},
+        {"left": [1, 3], "right": [2, True], "kind": "VV"},
+        {"left": (1, 3), "right": [2, 4], "kind": "VV"},
+        {"left": [1, 3], "right": [2, 4]},
+        {"left": [1, 3], "right": [2, 4], "kind": ["VV"]},
+        [[1, 3], [2, 4], "VV"],
+    ], ids=repr)
+    def test_move_json_of_the_wrong_shape(self, data):
+        with pytest.raises(ValueError, match=r'a move must be \{"left": \[a, c\]'):
+            Move.from_json(data)
+
+    def test_move_json_checks_the_values(self):
+        with pytest.raises(ValueError, match="is not a valid MoveKind"):
+            Move.from_json({"left": [1, 3], "right": [2, 4], "kind": "X"})
+        with pytest.raises(ValueError, match="do not cross"):
+            Move.from_json({"left": [1, 2], "right": [3, 4], "kind": "VV"})
+
 
 class TestConfluence:
     def test_random_strategies_agree(self):
