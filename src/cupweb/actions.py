@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import re
 from bisect import bisect_left
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from operator import attrgetter
 from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
-from .diagrams import Matching, _read_only, column_matching, is_noncrossing, swap_dots
+from ._value import Value
+from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
 from .resolution import resolve_full
 from .young import StandardTableau, is_permutation, t0
@@ -33,8 +33,7 @@ from .young import StandardTableau, is_permutation, t0
 DEFAULT_STEP_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class TwoRowTableau:
+class TwoRowTableau(Value):
     """A two-row filling in signed normal form, stored column by column.
 
     Entries are a permutation of 1..2n, each column has its smaller entry
@@ -42,27 +41,20 @@ class TwoRowTableau:
     standard: the bottom row may fail to increase.
     """
 
-    columns: tuple[tuple[int, int], ...]
+    __slots__ = _fields = ("columns",)
 
-    def __post_init__(self):
+    def __init__(self, columns: Iterable[Sequence[int]]):
         # Columns are stored as tuples, so a filling hashes and compares by value.
-        object.__setattr__(self, "columns", tuple(map(tuple, self.columns)))
-        entries = [e for col in self.columns for e in col]
-        if not is_permutation(entries):
+        columns = tuple(map(tuple, columns))
+        if not is_permutation([e for col in columns for e in col]):
             raise ValueError("entries must be a permutation of 1..2n")
-        for a, b in self.columns:
+        for a, b in columns:
             if a >= b:
                 raise ValueError(f"column ({a},{b}) is not sorted")
-        tops = [a for a, _ in self.columns]
+        tops = [a for a, _ in columns]
         if tops != sorted(tops):
             raise ValueError("columns must be sorted by top entry")
-
-    @classmethod
-    def _trusted(cls, columns: tuple[tuple[int, int], ...]) -> "TwoRowTableau":
-        """A filling on normal-form ``columns`` as given, without the checks."""
-        tab = object.__new__(cls)
-        object.__setattr__(tab, "columns", columns)
-        return tab
+        super().__init__(columns)
 
     @property
     def n(self) -> int:
@@ -114,7 +106,7 @@ def canonicalize_columns(
     return TwoRowTableau(fixed), sign
 
 
-class _SparseVector:
+class _SparseVector(Value):
     """Integer combinations of keys of one size, shared by the two vector types.
 
     A subclass names its key class, the size attribute that its keys and
@@ -123,12 +115,12 @@ class _SparseVector:
     ``_parse``, which reads one record into a key and the sign it costs and
     raises ``ValueError`` for a key of the wrong shape.  Constructors check
     keys and coefficients; arithmetic on checked operands builds through
-    ``_trusted``.  A vector is
-    read-only: its attributes refuse assignment and ``terms`` is a
-    ``MappingProxyType``, which compares equal to a dict of the same items.
+    ``_trusted``.  A vector is read-only: its attributes refuse assignment
+    and ``terms`` is a ``MappingProxyType``, which compares equal to a dict
+    of the same items.
     """
 
-    __slots__ = ("size", "terms")
+    __slots__ = _fields = ("size", "terms")
 
     def __init__(self, size: int, terms: Mapping | None = None):
         clean = {}
@@ -139,21 +131,12 @@ class _SparseVector:
                             or getattr(key, self._size_name) != size):
                         raise ValueError(f"bad key {key!r} for {self._size_name}={size}")
                     clean[key] = coeff
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "terms", MappingProxyType(clean))
+        super().__init__(size, MappingProxyType(clean))
 
     @classmethod
     def _trusted(cls, size: int, terms: dict):
         """A vector on ``terms``, wrapped as given: nonzero int coefficients, valid keys."""
-        v = object.__new__(cls)
-        object.__setattr__(v, "size", size)
-        object.__setattr__(v, "terms", MappingProxyType(terms))
-        return v
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
-        return type(self), (self.size, dict(self.terms))
+        return super()._trusted(size, MappingProxyType(terms))
 
     @classmethod
     def unit(cls, key, coeff: int = 1):
@@ -179,13 +162,6 @@ class _SparseVector:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __eq__(self, other) -> bool:
-        return (
-            type(other) is type(self)
-            and other.size == self.size
-            and other.terms == self.terms
-        )
 
     def __hash__(self):
         return hash((self.size, frozenset(self.terms.items())))

@@ -76,8 +76,12 @@ def _parse_strategy(text: str):
     if text == "first":
         return "first"
     if text.startswith("scripted:"):
-        return tuple(int(x) for x in text[len("scripted:"):].split(","))
-    raise ValueError(f"unknown strategy {text!r}; use 'first' or 'scripted:i,j,...'")
+        try:
+            return tuple(int(x) for x in text[len("scripted:"):].split(","))
+        except ValueError:
+            pass
+    raise ValueError(f"unknown strategy {text!r}; use 'first' or "
+                     "'scripted:i,j,...' with integers i, j, ...")
 
 
 def _effective_max_n(args) -> int:
@@ -271,7 +275,11 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(p, with_n=False)
     p.add_argument("matching", help='matching JSON, @file, or "-" for stdin')
     p.add_argument("--strategy", default="first",
-                   help="'first' or 'scripted:i,j,...' (default first)")
+                   help="'first' or 'scripted:i,j,...': the nodes expanded in "
+                        "turn resolve crossing i, j, ... of their sorted crossings, "
+                        "from 0, the list repeating; each index is taken modulo "
+                        "that node's crossing count, so -1 picks the last "
+                        "(default first)")
     p.add_argument("--node-budget", type=_positive, default=DEFAULT_NODE_BUDGET)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.set_defaults(func=cmd_resolve)

@@ -7,47 +7,36 @@ a cup diagram is a matching with no crossings.  Dots are numbered from 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
+from ._value import Value
 from .young import StandardTableau, is_permutation
 
 
-def _read_only(obj, *_):
-    """``__setattr__`` and ``__delattr__`` of a type whose values never change."""
-    raise AttributeError(f"{type(obj).__name__} is read-only")
-
-
-class Matching:
+class Matching(Value):
     """A read-only involution on {1..2n} without fixed points, in arc-list form.
 
     The hash of the arc tuple is computed once, when the arcs are set, and
     kept in a second slot, so the dicts keyed on matchings do not rehash it.
     """
 
+    _fields = ("arcs",)
     __slots__ = ("arcs", "_hash")
 
     def __init__(self, arcs: Iterable[Sequence[int]]):
         canon = tuple(sorted((min(a, b), max(a, b)) for a, b in arcs))
         if not is_permutation([d for arc in canon for d in arc]):
             raise ValueError("arcs must cover each dot 1..2n exactly once")
-        _set_arcs(self, canon)
+        super().__init__(canon, hash(canon))
 
     @classmethod
     def _trusted(cls, arcs: tuple) -> "Matching":
-        """``cls`` on ``arcs`` as given, without the checks ``__init__`` runs.
+        """``cls`` on ``arcs`` as given, and their hash, without the checks.
 
         For kernel output only: canonical arcs of int dots 1..2n, with no
         crossing when ``cls`` is ``CupDiagram``.
         """
-        m = object.__new__(cls)
-        _set_arcs(m, arcs)
-        return m
-
-    __setattr__ = __delattr__ = _read_only
-
-    def __reduce__(self):  # copy and pickle rebuild through __init__: no slot writes
-        return type(self), (self.arcs,)
+        return super()._trusted(arcs, hash(arcs))
 
     @property
     def n2(self) -> int:
@@ -95,18 +84,6 @@ class Matching:
         return m
 
 
-# The slots' own setters, past the refusing ``__setattr__``: about half the cost
-# of ``object.__setattr__`` for the matchings that kernels build unchecked.
-_set_arc_slot = Matching.arcs.__set__
-_set_hash_slot = Matching._hash.__set__
-
-
-def _set_arcs(m: Matching, arcs: tuple) -> None:
-    """Set the arcs of a new matching and its hash, that of the arc tuple."""
-    _set_arc_slot(m, arcs)
-    _set_hash_slot(m, hash(arcs))
-
-
 class CupDiagram(Matching):
     """A matching without crossings."""
 
@@ -118,32 +95,19 @@ class CupDiagram(Matching):
             raise ValueError(f"{self.arcs} has a crossing")
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(Value):
     """An ordered pair of crossing arcs: (a, c) and (b, d) with a < b < c < d."""
 
-    left: tuple[int, int]
-    right: tuple[int, int]
+    __slots__ = _fields = ("left", "right")
 
-    def __post_init__(self):
+    def __init__(self, left: tuple[int, int], right: tuple[int, int]):
         # Arcs are stored as tuples, so a crossing hashes and compares by value.
-        object.__setattr__(self, "left", tuple(self.left))
-        object.__setattr__(self, "right", tuple(self.right))
-        a, c = self.left
-        b, d = self.right
+        left, right = tuple(left), tuple(right)
+        a, c = left
+        b, d = right
         if not a < b < c < d:
-            raise ValueError(f"arcs {self.left}, {self.right} do not cross")
-
-    @classmethod
-    def _trusted(cls, left: tuple, right: tuple) -> "Crossing":
-        """A crossing of the arc tuples as given, without the checks.
-
-        For callers that have checked a < b < c < d on int dots themselves.
-        """
-        crossing = object.__new__(cls)
-        object.__setattr__(crossing, "left", left)
-        object.__setattr__(crossing, "right", right)
-        return crossing
+            raise ValueError(f"arcs {left}, {right} do not cross")
+        super().__init__(left, right)
 
 
 def crossing_pairs(arcs: tuple) -> Iterator[tuple]:

@@ -50,10 +50,10 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
+from ._value import Value
 from .diagrams import (
     CupDiagram,
     Crossing,
@@ -79,22 +79,13 @@ class MoveKind(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class Move:
-    crossing: Crossing
-    kind: MoveKind
+class Move(Value):
+    __slots__ = _fields = ("crossing", "kind")
 
-    def __post_init__(self):
-        if type(self.kind) is not MoveKind:
-            raise ValueError(f"move kind {self.kind!r} is not a MoveKind")
-
-    @classmethod
-    def _trusted(cls, crossing: Crossing, kind: MoveKind) -> "Move":
-        """A move on ``crossing`` and ``kind`` as given, without the check."""
-        move = object.__new__(cls)
-        object.__setattr__(move, "crossing", crossing)
-        object.__setattr__(move, "kind", kind)
-        return move
+    def __init__(self, crossing: Crossing, kind: MoveKind):
+        if type(kind) is not MoveKind:
+            raise ValueError(f"move kind {kind!r} is not a MoveKind")
+        super().__init__(crossing, kind)
 
     def to_json(self) -> dict:
         return {
@@ -148,19 +139,18 @@ def _pick(strategy: Strategy, m: Matching, found: list[Crossing],
     return found[strategy[counter % len(strategy)] % len(found)]
 
 
-@dataclass
-class ResolutionGraph:
+class ResolutionGraph(Value):
     """The full expansion tree of one matching.
 
     Nodes are occurrences, not deduplicated matchings: the same matching
     may appear several times, and leaf multiplicity is what carries the
     expansion coefficients.  Node 0 is the root; every internal node has
     exactly one VV edge and one nested edge resolving the same crossing.
+    The fields are the ``root`` matching, the list of ``nodes`` and the
+    list of ``edges``, each ``(source, move, target)``.
     """
 
-    root: Matching
-    nodes: list[Matching]
-    edges: list[tuple[int, Move, int]]
+    __slots__ = _fields = ("root", "nodes", "edges")
 
     def sink_indices(self) -> list[int]:
         internal = {src for src, _, _ in self.edges}

@@ -19,12 +19,12 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import reduce
 from operator import and_
 from types import MappingProxyType
 
+from ._value import Value
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
 from .resolution import DEFAULT_NODE_BUDGET, insert_level, undo_on_refusal
@@ -39,34 +39,22 @@ from .young import (
 ORDER_DESCRIPTION = "rank, then lexicographic top row"
 
 
-@dataclass(frozen=True)
-class TransitionMatrix:
+class TransitionMatrix(Value):
     """Exact integer matrix M[S][T] over the canonical tableau order.
 
     ``columns[t]`` is ``{s: M[s][t]}`` over the nonzero entries of column t;
     an absent or stored-0 row is a zero.  Only ``entries`` and the exports
     build dense rows, afresh on each call.  Columns are stored read-only,
-    as ``MappingProxyType``s of copies of the mappings given.
+    as ``MappingProxyType``s of copies of the mappings given; ``_trusted``
+    takes the proxies of dicts that no one else holds.
     """
 
-    n: int
-    index: tuple[StandardTableau, ...]
-    columns: tuple[MappingProxyType[int, int], ...]
+    __slots__ = _fields = ("n", "index", "columns")
 
-    def __post_init__(self):
-        object.__setattr__(self, "columns", tuple(
-            MappingProxyType(dict(col)) for col in self.columns))
+    def __init__(self, n: int, index: tuple[StandardTableau, ...], columns):
+        super().__init__(n, index, tuple(MappingProxyType(dict(col)) for col in columns))
 
-    @classmethod
-    def _trusted(cls, n: int, index: tuple, columns) -> "TransitionMatrix":
-        """A matrix over ``columns``, dicts that no one else holds, uncopied."""
-        matrix = object.__new__(cls)
-        object.__setattr__(matrix, "n", n)
-        object.__setattr__(matrix, "index", index)
-        object.__setattr__(matrix, "columns", tuple(map(MappingProxyType, columns)))
-        return matrix
-
-    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
+    def __reduce__(self):  # a tuple of proxies can be neither copied nor pickled
         return type(self), (self.n, self.index, tuple(map(dict, self.columns)))
 
     @property
@@ -116,20 +104,20 @@ class TransitionMatrix:
         return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class Check:
-    name: str
-    passed: bool
-    witness: str | None = None
-    informational: bool = False
+class Check(Value):
+    __slots__ = _fields = ("name", "passed", "witness", "informational")
+
+    def __init__(self, name: str, passed: bool, witness: str | None = None,
+                 informational: bool = False):
+        super().__init__(name, passed, witness, informational)
 
 
-@dataclass
-class VerificationReport:
-    n: int
-    checks: list[Check] = field(default_factory=list)
-    elapsed_seconds: float = 0.0
-    timestamp: str = ""
+class VerificationReport(Value):
+    __slots__ = _fields = ("n", "checks", "elapsed_seconds", "timestamp")
+
+    def __init__(self, n: int, checks: list[Check] | None = None,
+                 elapsed_seconds: float = 0.0, timestamp: str = ""):
+        super().__init__(n, [] if checks is None else checks, elapsed_seconds, timestamp)
 
     @property
     def passed(self) -> bool:
@@ -140,7 +128,8 @@ class VerificationReport:
         return {
             "n": self.n,
             "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [{name: getattr(c, name) for name in Check._fields}
+                       for c in self.checks],
             "elapsed_seconds": self.elapsed_seconds,
             "timestamp": self.timestamp,
         }
@@ -172,8 +161,9 @@ def transition_matrix(n: int) -> TransitionMatrix:
                                            DEFAULT_NODE_BUDGET)
                        for t in index}
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
-    return TransitionMatrix._trusted(n, index, (
-        {row_of[arcs]: mult for arcs, mult in columns.pop(t.top).items()}
+    return TransitionMatrix._trusted(n, index, tuple(
+        MappingProxyType({row_of[arcs]: mult
+                          for arcs, mult in columns.pop(t.top).items()})
         for t in index))
 
 
@@ -371,7 +361,8 @@ def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
     if len(inverse) < matrix.size:
         raise ValueError("the straightened cups do not invert the matrix: "
                          f"web of {matrix.index[len(inverse)].row_word()}")
-    return TransitionMatrix._trusted(matrix.n, matrix.index, inverse)
+    return TransitionMatrix._trusted(matrix.n, matrix.index,
+                                     tuple(map(MappingProxyType, inverse)))
 
 
 def verify_psi(

@@ -12,10 +12,10 @@ values are immutable and all functions are pure.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
 from functools import lru_cache, wraps
 from types import MappingProxyType
 
+from ._value import Value
 from .errors import SizeLimitError
 
 #: Enumeration and graph construction refuse larger n unless told otherwise.
@@ -43,36 +43,26 @@ def is_permutation(values) -> bool:
         type(v) is int for v in values)
 
 
-@dataclass(frozen=True)
-class StandardTableau:
+class StandardTableau(Value):
     """A standard filling of two rows of n boxes with 1..2n."""
 
-    top: tuple[int, ...]
-    bottom: tuple[int, ...]
+    __slots__ = _fields = ("top", "bottom")
 
-    def __post_init__(self):
+    def __init__(self, top, bottom):
         # Rows are stored as tuples, so a tableau hashes and compares by value.
-        object.__setattr__(self, "top", tuple(self.top))
-        object.__setattr__(self, "bottom", tuple(self.bottom))
-        n = len(self.top)
-        if n < 1 or len(self.bottom) != n:
+        top, bottom = tuple(top), tuple(bottom)
+        n = len(top)
+        if n < 1 or len(bottom) != n:
             raise ValueError("rows must be nonempty and of equal length")
-        if not is_permutation(self.top + self.bottom):
+        if not is_permutation(top + bottom):
             raise ValueError("entries must be a permutation of 1..2n")
-        for row in (self.top, self.bottom):
+        for row in (top, bottom):
             if any(row[j] >= row[j + 1] for j in range(n - 1)):
                 raise ValueError(f"row {row} is not strictly increasing")
         for j in range(n):
-            if self.top[j] >= self.bottom[j]:
+            if top[j] >= bottom[j]:
                 raise ValueError(f"column {j + 1} is not increasing")
-
-    @classmethod
-    def _trusted(cls, top: tuple, bottom: tuple) -> "StandardTableau":
-        """A tableau on ``top`` and ``bottom`` as given, without the checks."""
-        tab = object.__new__(cls)
-        object.__setattr__(tab, "top", top)
-        object.__setattr__(tab, "bottom", bottom)
-        return tab
+        super().__init__(top, bottom)
 
     @property
     def n(self) -> int:
@@ -206,8 +196,7 @@ def swap_entries(tableau: StandardTableau, i: int) -> StandardTableau:
     return StandardTableau(top, bottom)
 
 
-@dataclass(frozen=True)
-class TableauGraph:
+class TableauGraph(Value):
     """Directed graph on the tableaux of a fixed n.
 
     An edge ``(s, t, i)`` says vertex ``t`` equals vertex ``s`` with i and
@@ -218,26 +207,20 @@ class TableauGraph:
     the position table is a ``MappingProxyType``.
     """
 
-    n: int
-    vertices: tuple[StandardTableau, ...]
-    edges: tuple[tuple[int, int, int], ...]
-    _position: MappingProxyType = field(init=False, repr=False, compare=False)
-    descendants: tuple[int, ...] = field(init=False, repr=False)
+    _fields = ("n", "vertices", "edges")
+    __slots__ = (*_fields, "_position", "descendants")
 
-    def __post_init__(self):
-        vertices = self.vertices
-        object.__setattr__(self, "_position",
-                           MappingProxyType({v: k for k, v in enumerate(vertices)}))
+    def __init__(self, n: int, vertices: tuple[StandardTableau, ...],
+                 edges: tuple[tuple[int, int, int], ...]):
         # Bit j of descendants[k] is set when vertex j is reachable from
         # vertex k.  An edge raises the rank by one, so taking edges by
         # falling source rank completes every target before its sources.
         desc = [1 << k for k in range(len(vertices))]
-        for src, dst, _ in sorted(self.edges, key=lambda e: -_rank(vertices[e[0]])):
+        for src, dst, _ in sorted(edges, key=lambda e: -_rank(vertices[e[0]])):
             desc[src] |= desc[dst]
-        object.__setattr__(self, "descendants", tuple(desc))
-
-    def __reduce__(self):  # a MappingProxyType can be neither copied nor pickled
-        return type(self), (self.n, self.vertices, self.edges)
+        super().__init__(n, vertices, edges,
+                         MappingProxyType({v: k for k, v in enumerate(vertices)}),
+                         tuple(desc))
 
     def position(self, tableau: StandardTableau) -> int:
         try:

@@ -143,6 +143,38 @@ def test_criterion_06_path_products_match_preimages():
                     assert got == expected
 
 
+def _first_failing_edge(graph, psi):
+    """The first edge (src, dst, i) where s_i psi_src != psi_dst + psi_src, or None.
+
+    ``psi`` lists one ``TabloidVector`` per vertex of ``graph``.  The paper's
+    path model says psi_dst = (s_i - 1) psi_src on every edge.
+    """
+    return next(((src, dst, i) for src, dst, i in graph.edges
+                 if act_polytabloid(i, psi[src]) != psi[dst] + psi[src]), None)
+
+
+def _psi_of_vertices(graph):
+    return [cup_polytabloid(cup_of_tableau(t))[1] for t in graph.vertices]
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_path_model_holds_on_every_edge(n):
+    graph = build_tableau_graph(n)
+    assert _first_failing_edge(graph, _psi_of_vertices(graph)) is None
+
+
+@pytest.mark.parametrize("vertex", [1, 7, 20, 41])
+def test_path_model_names_the_first_edge_of_a_corrupted_psi(vertex):
+    # Edges run by source in vertex order and lead to later vertices, so the
+    # first edge that reads psi of the vertex is the first edge into it.
+    graph = build_tableau_graph(5)
+    psi = _psi_of_vertices(graph)
+    key = next(iter(psi[vertex].terms))
+    psi[vertex] = psi[vertex] + TabloidVector.unit(key)
+    first_in = next(edge for edge in graph.edges if edge[1] == vertex)
+    assert _first_failing_edge(graph, psi) == first_in
+
+
 def _unit_tab(tableau):
     return TabloidVector.unit(TwoRowTableau.from_standard(tableau))
 

@@ -170,6 +170,35 @@ class TestResolve:
         assert code == 0
         assert len(json.loads(out)["sinks"]) == 4
 
+    @pytest.mark.parametrize("strategy", ["scripted:", "scripted:1,,2", "scripted:1,x"])
+    def test_malformed_script_names_the_scripted_form(self, capsys, strategy):
+        for fmt in ("json", "dot"):
+            code, out, err = run(capsys, "resolve", FOUR_ARCS, "--format", fmt,
+                                 "--strategy", strategy)
+            assert (code, out) == (2, "")
+            assert err == (f"error: unknown strategy {strategy!r}; use 'first' or "
+                           "'scripted:i,j,...' with integers i, j, ...\n")
+
+    @pytest.mark.parametrize("index", [-1, 6, 13])
+    def test_script_index_is_taken_modulo_the_crossing_count(self, capsys, index):
+        # FOUR_ARCS has 6 crossings; each node reads the one index modulo its own count.
+        m = cupweb.Matching.from_json(json.loads(FOUR_ARCS))
+        picked = cupweb.build_resolution_graph(
+            m, lambda _, found: found[index % len(found)])
+        code, out, _ = run(capsys, "resolve", FOUR_ARCS, "--format", "dot",
+                           "--strategy", f"scripted:{index}")
+        assert (code, out) == (0, cupweb.resolution_graph_dot(picked))
+        if index == -1:
+            assert picked.edges[0][1].crossing == cupweb.crossings(m)[-1]
+            assert out != cupweb.resolution_graph_dot(cupweb.build_resolution_graph(m))
+
+    def test_help_says_an_index_is_taken_modulo(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["resolve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert ("each index is taken modulo that node's crossing count, "
+                "so -1 picks the last") in text
+
     def test_oversized_tree_is_refused_with_the_kernel_message(self, capsys):
         # Both formats trip at the same budget, with the same one line.
         for fmt in ("dot", "json"):

@@ -1,6 +1,7 @@
 """The runtime package imports nothing outside the standard library."""
 
 import ast
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,3 +27,13 @@ def test_runtime_imports_only_the_standard_library():
         if name not in sys.stdlib_module_names and name != "cupweb"
     ]
     assert foreign == []
+
+
+def test_cold_cli_import_loads_neither_dataclasses_nor_inspect():
+    # -S: no site hooks, so only what cupweb.cli itself imports is loaded.
+    probe = (f"import sys; sys.path.insert(0, {str(PACKAGE.parent)!r}); "
+             "import cupweb.cli; "
+             "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", probe], capture_output=True,
+                         text=True, check=True).stdout
+    assert out == "[]\n"
