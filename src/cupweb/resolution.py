@@ -21,9 +21,12 @@ insertion, with one crossing fewer, until none is left.  Later smoothings
 never touch (x, a) or (a, y), so the two branches share no sink: an
 insertion crossing c arcs has 2^c distinct sinks, counted before it is
 made, and each coefficient counts the branch paths ending at its cup.
-A second table holds one read-only ``CupDiagram`` per sink, made on its
-first use, which every result then shares as its key.  Only a call that
-succeeds adds to either table.
+Every cup the first table holds, as a key or as a sink, is the session's
+one read-only ``CupDiagram`` for its arcs: the empty cup is one constant,
+and every other is kept in a second table, made only when an insertion is
+first resolved.  The expansion levels key on these diagrams, so the last
+level is the result as it stands.  Only a call that succeeds adds to
+either table.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -194,81 +197,104 @@ def build_resolution_graph(
     return ResolutionGraph(m, nodes, edges)
 
 
-# The session's one-arc insertions: (cup, a) -> the sinks of ``insert_arc``.
-# A cup of k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs,
-# or the matrix build to n, the table holds at most the sum over k <= n of
+# The session's one-arc insertions: (cup, a) -> the sinks of ``insert_arc``,
+# the cup and each sink a diagram of ``_CUPS`` (or ``_EMPTY``).  A cup of
+# k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs, or the
+# matrix build to n, the table holds at most the sum over k <= n of
 # C_{k-1} * (2k - 1) entries (8,788 at n = 8), however many calls filled it.
-_INSERTED: dict[tuple[tuple, int], tuple] = {}
+_INSERTED: dict[tuple[CupDiagram, int], tuple[CupDiagram, ...]] = {}
 
-# The session's read-only sinks: arcs -> the one ``CupDiagram`` that every
-# ``resolve_full`` result uses as its key.  Its keys are sinks of the
-# insertions above, so it holds at most C_n diagrams of each dot count 2n
+# The session's read-only cups: arcs -> the one ``CupDiagram`` that the table
+# above and every ``resolve_full`` result use for them.  Each is a key or a
+# sink of an insertion, so it holds at most C_n diagrams of each dot count 2n
 # (1,430 at n = 8).
 _CUPS: dict[tuple, CupDiagram] = {}
 
+# The root of every expansion: no insertion makes it, so it is one constant
+# rather than an entry of ``_CUPS``.
+_EMPTY = CupDiagram._trusted(())
 
-def insert_arc(cup: tuple, a: int) -> tuple:
+
+def _cup(arcs: tuple) -> CupDiagram:
+    """The session's diagram on ``arcs``, made unvalidated on first use.
+
+    Only ``insert_arc`` calls it, on cups that lifting, lowering and
+    smoothing made from a cup: no crossing, and the dots a permutation.
+    """
+    return _CUPS.get(arcs) or _CUPS.setdefault(arcs, CupDiagram._trusted(arcs))
+
+
+def insert_arc(cup: CupDiagram, a: int) -> tuple[CupDiagram, ...]:
     """Sinks of ``cup`` lifted over ``a`` plus the arc (a, 2k), kept in ``_INSERTED``.
 
-    ``cup`` is a canonical cup diagram of k - 1 arcs and 1 <= a < 2k;
-    lifting raises every dot >= a by one.  The result, keyed ``(cup, a)``,
-    is a tuple of distinct sink arc tuples, 2^c of them for the c arcs of
-    ``cup`` covering a; the two insertions it branches into are kept too.
+    ``cup`` is a diagram of k - 1 arcs and 1 <= a < 2k; lifting raises every
+    dot >= a by one.  The result, keyed ``(cup, a)``, is a tuple of distinct
+    sink diagrams, 2^c of them for the c arcs of ``cup`` covering a; the two
+    insertions it branches into are kept too.  The sinks are the session's
+    diagrams, so ``insert_level`` keys the next level on them as they are,
+    and the last level is the result of ``resolve_full``.  A stored result
+    is returned as is; only a miss reads ``cup.arcs`` and makes or reuses
+    diagrams in ``_CUPS``.
     """
     sinks = _INSERTED.get((cup, a))
     if sinks is not None:
         return sinks
+    arcs = cup.arcs
     # Lifted, the arc (x, y) of ``cup`` covers a when x < a <= y.
-    cover = max((arc for arc in cup if arc[0] < a <= arc[1]), default=None)
+    cover = max((arc for arc in arcs if arc[0] < a <= arc[1]), default=None)
     if cover is None:
-        lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
-        sinks = (tuple(sorted(lifted + [(a, 2 * len(cup) + 2)])),)
+        lifted = [(x + (x >= a), y + (y >= a)) for x, y in arcs]
+        sinks = (_cup(tuple(sorted(lifted + [(a, 2 * len(arcs) + 2)]))),)
     else:
         # Each child is a cup lowered over the left end of its last arc.  VV
         # keeps (x, a) and ends in (y + 1, 2k): the arcs in [a, y) move up.
         # Nested keeps (a - 1, y) and ends in (x, 2k): those in (x, a) move down.
         x, y = cover
         vv = tuple((x, a) if p == x else (p + 1, q + 1) if a <= p < y else (p, q)
-                   for p, q in cup)
+                   for p, q in arcs)
         nested = tuple(sorted(
             (a - 1, y) if p == x else (p - 1, q - 1) if x < p < a else (p, q)
-            for p, q in cup))
-        sinks = insert_arc(vv, y + 1) + insert_arc(nested, x)
+            for p, q in arcs))
+        sinks = insert_arc(_cup(vv), y + 1) + insert_arc(_cup(nested), x)
     _INSERTED[cup, a] = sinks
     return sinks
 
 
 @contextmanager
 def undo_on_refusal():
-    """On ``SizeLimitError``, drop what the block added to ``_INSERTED``.
+    """On ``SizeLimitError``, drop what the block added to ``_INSERTED`` and ``_CUPS``.
 
     A miss only adds keys and a dict keeps insertion order, so the block's
-    own entries are the last ones: a refused call keeps nothing.
+    own entries are the last ones of each table: a refused call keeps
+    nothing, and no entry left in ``_INSERTED`` holds a diagram it dropped.
     """
-    before = len(_INSERTED)
+    before, cups_before = len(_INSERTED), len(_CUPS)
     try:
         yield
     except SizeLimitError:
         while len(_INSERTED) > before:
             _INSERTED.popitem()
+        while len(_CUPS) > cups_before:
+            _CUPS.popitem()
         raise
 
 
-def insert_level(expansion: dict, a: int, node_budget: int) -> dict[tuple, int]:
+def insert_level(expansion: dict, a: int, node_budget: int) -> dict[CupDiagram, int]:
     """``expansion`` with the arc (a, 2k) inserted into each of its cups.
 
-    ``expansion`` maps cups of k - 1 arcs to multiplicities.  A cup's sinks
-    are counted before its insertion is made: the stored ones, else 2^c for
+    ``expansion`` maps the session's diagrams of k - 1 arcs to
+    multiplicities, and so does the new dict returned.  A cup's sinks are
+    counted before its insertion is made: the stored ones, else 2^c for
     the c arcs covering a, the surplus of left ends below a.  Raises
     ``SizeLimitError`` as soon as the cups counted so far give a tree,
     2 * (sum of multiplicities) - 1 nodes, larger than ``node_budget``.
     """
-    level: dict[tuple, int] = {}
+    level: dict[CupDiagram, int] = {}
     total = 0
     for cup, mult in expansion.items():
         sinks = _INSERTED.get((cup, a))
         total += mult * (len(sinks) if sinks else
-                         1 << 2 * bisect_left(cup, (a,)) - a + 1)
+                         1 << 2 * bisect_left(cup.arcs, (a,)) - a + 1)
         if 2 * total - 1 > node_budget:
             raise SizeLimitError("resolution exceeded its node budget")
         for sink in sinks or insert_arc(cup, a):
@@ -296,25 +322,22 @@ def resolve_full(
 ) -> dict[CupDiagram, int]:
     """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
 
-    Each call returns a new dict, in an unspecified order; a caller that
-    shows one sorts it.  Its keys are the session's read-only diagrams in
-    ``_CUPS``, shared between calls.  Raises ``SizeLimitError`` when the
-    resolution tree has more than ``node_budget`` nodes, that is
-    2 * (sum of multiplicities) - 1, and leaves both session tables as it
-    found them.  The tree size, like the sinks, is the same for every
-    resolution strategy.
+    The result is the last level of the insertion, returned as it stands:
+    a new dict on each call, in an unspecified order (a caller that shows
+    one sorts it), whose keys are the session's read-only diagrams in
+    ``_CUPS``, shared between calls (``_EMPTY`` for the empty matching).
+    Raises ``SizeLimitError`` when the resolution tree has more than
+    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
+    leaves both session tables as it found them.  The tree size, like the
+    sinks, is the same for every resolution strategy.
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
-    expansion: dict[tuple, int] = {(): 1}
+    expansion: dict[CupDiagram, int] = {_EMPTY: 1}
     with undo_on_refusal():
         for a in _peel(m.arcs):
             expansion = insert_level(expansion, a, node_budget)
-    # A kernel sink has no crossing, and lifting and smoothing keep the dots
-    # a permutation, so a diagram new to the session is built unvalidated.
-    cup = _CUPS.get
-    return {cup(arcs) or _CUPS.setdefault(arcs, CupDiagram._trusted(arcs)): mult
-            for arcs, mult in expansion.items()}
+    return expansion
 
 
 def _partners(arcs, n2: int) -> list[int]:

@@ -567,7 +567,7 @@ class TestInsertionResolution:
         assert len(table) <= 1 + 3 + 10 + 35 + 126
         # one diagram per cup of 1 to 5 arcs, each a sink kept in the table
         assert len(cups) <= 1 + 2 + 5 + 14 + 42
-        assert set(cups) <= {sink for sinks in table.values() for sink in sinks}
+        assert set(cups) <= {sink.arcs for sinks in table.values() for sink in sinks}
         before, cups_before = dict(table), dict(cups)
         for m in _all_matchings(5):
             resolve_full(m)
@@ -580,7 +580,27 @@ class TestInsertionResolution:
         for arcs in all_pairings(range(1, 13)):
             resolve_full(Matching(arcs))
         assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
-        assert len(cups) <= 132
+        # C_6 diagrams of 12 dots; the cups of the levels below are kept
+        # too, as keys of the table, at most C_k of each 2k dots
+        assert sum(len(arcs) == 6 for arcs in cups) <= 132
+        assert len(cups) <= 1 + 2 + 5 + 14 + 42 + 132
+
+    @pytest.mark.parametrize("fill", ["matrix", "matchings"])
+    def test_table_holds_the_session_diagrams(self, fill):
+        table, cups = resolution_module._INSERTED, resolution_module._CUPS
+        table.clear()
+        cups.clear()
+        if fill == "matrix":
+            transition_matrix.cache_clear()
+            transition_matrix(6)
+        else:
+            for m in _all_matchings(5):
+                resolve_full(m)
+        empty = resolution_module._EMPTY
+        assert empty.arcs not in cups
+        for (cup, _), sinks in table.items():
+            assert cup is (empty if not cup.arcs else cups[cup.arcs])
+            assert all(cups[w.arcs] is w for w in sinks)
 
     def test_equal_sinks_are_one_object(self):
         rng = random.Random(13)
@@ -611,10 +631,10 @@ class TestInsertionResolution:
         table = resolution_module._INSERTED
         for k, cup, a in _insertions(5):
             table.clear()
-            sinks = insert_arc(cup, a)
+            sinks = insert_arc(CupDiagram(cup), a)
             lifted = [(x + (x >= a), y + (y >= a)) for x, y in cup]
             expected = brute_resolve(lifted + [(a, 2 * k)])
-            assert dict.fromkeys(sinks, 1) == expected
+            assert dict.fromkeys((w.arcs for w in sinks), 1) == expected
             # distinct sinks, 2^c of them for c arcs crossing (a, 2k)
             covering = sum(x < a <= y for x, y in cup)
             assert len(sinks) == len(expected) == 2 ** covering
@@ -623,8 +643,9 @@ class TestInsertionResolution:
         # An insertion crossing c arcs has 2^c sinks: a tree of 2^(c+1) - 1
         # nodes, known before the insertion is made.
         table = resolution_module._INSERTED
-        for _, cup, a in _insertions(5):
-            c = sum(x < a <= y for x, y in cup)
+        for _, arcs, a in _insertions(5):
+            cup = CupDiagram(arcs)
+            c = sum(x < a <= y for x, y in arcs)
             size = 2 ** (c + 1) - 1
             table.clear()  # cold
             with pytest.raises(SizeLimitError,
@@ -641,7 +662,7 @@ class TestInsertionResolution:
             assert insert_level({cup: 1}, a, size) == level
 
     def test_level_budget_trips_before_the_next_cup(self):
-        nested, flat = ((1, 4), (2, 3)), ((1, 2), (3, 4))
+        nested, flat = CupDiagram([(1, 4), (2, 3)]), CupDiagram([(1, 2), (3, 4)])
         table = resolution_module._INSERTED
         table.clear()
         # 4 sinks of multiplicity 2 already make a tree of 15 nodes, counted

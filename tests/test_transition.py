@@ -165,21 +165,27 @@ class TestMatrix:
             m.columns[0][0] = 2
 
     def test_refused_build_leaves_the_table_as_it_found_it(self, monkeypatch):
-        table = resolution_module._INSERTED
+        table, cups = resolution_module._INSERTED, resolution_module._CUPS
+
+        def cold():
+            table.clear()
+            cups.clear()
 
         def warm():
-            table.clear()
+            cold()
             transition_matrix.cache_clear()
             transition_matrix(5)
 
         monkeypatch.setattr(transition_module, "DEFAULT_NODE_BUDGET", 542)
-        for prepare in (table.clear, warm):
+        for prepare in (cold, warm):
             prepare()
             transition_matrix.cache_clear()
-            before = dict(table)
+            before, cups_before = dict(table), dict(cups)
             with pytest.raises(SizeLimitError):
                 transition_matrix(6)
             assert table == before
+            assert cups == cups_before
+            assert all(cups[arcs] is w for arcs, w in cups_before.items())
 
 
 class TestUnitriangular:
