@@ -215,6 +215,11 @@ _CUPS: dict[tuple, CupDiagram] = {}
 _EMPTY = CupDiagram._trusted(())
 
 
+def root_level() -> dict[CupDiagram, int]:
+    """The expansion of the empty matching, a new dict: every insertion's first level."""
+    return {_EMPTY: 1}
+
+
 def _cup(arcs: tuple) -> CupDiagram:
     """The session's diagram on ``arcs``, made unvalidated on first use.
 
@@ -333,7 +338,7 @@ def resolve_full(
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
-    expansion: dict[CupDiagram, int] = {_EMPTY: 1}
+    expansion = root_level()
     with undo_on_refusal():
         for a in _peel(m.arcs):
             expansion = insert_level(expansion, a, node_budget)

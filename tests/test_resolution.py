@@ -580,10 +580,12 @@ class TestInsertionResolution:
         for arcs in all_pairings(range(1, 13)):
             resolve_full(Matching(arcs))
         assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
-        # C_6 diagrams of 12 dots; the cups of the levels below are kept
-        # too, as keys of the table, at most C_k of each 2k dots
-        assert sum(len(arcs) == 6 for arcs in cups) <= 132
-        assert len(cups) <= 1 + 2 + 5 + 14 + 42 + 132
+        # one diagram per sink, the C_6 cups of 12 dots, and one per key cup
+        # of each level below: exactly C_k diagrams of 2k dots for k <= 6
+        catalan = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
+        for k, c_k in catalan.items():
+            assert sum(len(arcs) == k for arcs in cups) == c_k
+        assert len(cups) == sum(catalan.values())
 
     @pytest.mark.parametrize("fill", ["matrix", "matchings"])
     def test_table_holds_the_session_diagrams(self, fill):
