@@ -124,8 +124,8 @@ def crossing_pairs(arcs: tuple) -> Iterator[tuple]:
 
 
 def crossings(m: Matching) -> list[Crossing]:
-    """All crossing arc pairs, sorted by (left arc, right arc)."""
-    return [Crossing(left, right) for left, right in crossing_pairs(m.arcs)]
+    """All crossing arc pairs, sorted by (left arc, right arc); each has a < b < c < d."""
+    return [Crossing._trusted(left, right) for left, right in crossing_pairs(m.arcs)]
 
 
 def is_noncrossing(m: Matching) -> bool:

@@ -19,14 +19,14 @@ are those covering a, a nested chain.  Smoothing against the innermost,
 (x, y), leaves a last arc (y, 2k) or (x, 2k) over a cup: one more
 insertion, with one crossing fewer, until none is left.  Later smoothings
 never touch (x, a) or (a, y), so the two branches share no sink: an
-insertion crossing c arcs has 2^c distinct sinks, counted before it is
-made, and each coefficient counts the branch paths ending at its cup.
+insertion crossing c arcs has 2^c distinct sinks, counted before their
+level is made, and each coefficient counts the branch paths ending at its cup.
 Every cup the first table holds, as a key or as a sink, is the session's
 one read-only ``CupDiagram`` for its arcs: the empty cup is one constant,
 and every other is kept in a second table, made only when an insertion is
 first resolved.  The expansion levels key on these diagrams, so the last
-level is the result as it stands.  Only a call that succeeds adds to
-either table.
+level is the result as it stands.  ``expand`` runs the levels, for the
+matrix build too, and only a call that succeeds adds to either table.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -52,7 +52,6 @@ from __future__ import annotations
 import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
-from contextlib import contextmanager
 from operator import itemgetter
 from typing import Callable, Sequence, Union
 
@@ -215,11 +214,6 @@ _CUPS: dict[tuple, CupDiagram] = {}
 _EMPTY = CupDiagram._trusted(())
 
 
-def root_level() -> dict[CupDiagram, int]:
-    """The expansion of the empty matching, a new dict: every insertion's first level."""
-    return {_EMPTY: 1}
-
-
 def _cup(arcs: tuple) -> CupDiagram:
     """The session's diagram on ``arcs``, made unvalidated on first use.
 
@@ -265,46 +259,55 @@ def insert_arc(cup: CupDiagram, a: int) -> tuple[CupDiagram, ...]:
     return sinks
 
 
-@contextmanager
-def undo_on_refusal():
-    """On ``SizeLimitError``, drop what the block added to ``_INSERTED`` and ``_CUPS``.
+def insert_level(expansion: dict, a: int, node_budget: int) -> dict[CupDiagram, int]:
+    """``expansion`` with the arc (a, 2k) inserted into each of its cups.
 
-    A miss only adds keys and a dict keeps insertion order, so the block's
-    own entries are the last ones of each table: a refused call keeps
-    nothing, and no entry left in ``_INSERTED`` holds a diagram it dropped.
+    ``expansion`` maps the session's diagrams of k - 1 arcs to
+    multiplicities, and so does the new dict returned.  The level is
+    counted before any of it is made: a cup's insertion has 2^c sinks for
+    the c <= k - 1 arcs covering a, the surplus of left ends below a.
+    Raises ``SizeLimitError`` when the tree, 2 * sum(mult * 2^c) - 1
+    nodes, exceeds ``node_budget``; the exact sum is taken only when
+    c = k - 1 for every cup would exceed it.
     """
+    bound = sum(expansion.values()) << len(next(iter(expansion), _EMPTY).arcs)
+    if 2 * bound - 1 > node_budget and 2 * sum(
+            mult << 2 * bisect_left(cup.arcs, (a,)) - a + 1
+            for cup, mult in expansion.items()) - 1 > node_budget:
+        raise SizeLimitError("resolution exceeded its node budget")
+    level: dict[CupDiagram, int] = {}
+    for cup, mult in expansion.items():
+        for sink in _INSERTED.get((cup, a)) or insert_arc(cup, a):
+            level[sink] = level.get(sink, 0) + mult
+    return level
+
+
+def expand(rows, node_budget: int) -> dict[tuple, dict]:
+    """The expansions over cup diagrams of the last of ``rows``, by left-end sequence.
+
+    ``rows`` gives, for k = 1, 2, ..., the sequences a_1, ..., a_k to
+    expand, each a sequence of the row before plus a_k, which
+    ``insert_level`` inserts as the arc (a_k, 2k); the root is
+    ``{_EMPTY: 1}``.  When a tree exceeds ``node_budget``, raises
+    ``SizeLimitError`` and drops what the call added to both tables: a miss
+    only adds keys and a dict keeps insertion order, so they are the last
+    entries of each, and no entry left holds a diagram that was dropped.
+    """
+    if node_budget < 1:  # every tree has its root
+        raise SizeLimitError("resolution exceeded its node budget")
+    levels = {(): {_EMPTY: 1}}
     before, cups_before = len(_INSERTED), len(_CUPS)
     try:
-        yield
+        for row in rows:
+            levels = {seq: insert_level(levels[seq[:-1]], seq[-1], node_budget)
+                      for seq in row}
     except SizeLimitError:
         while len(_INSERTED) > before:
             _INSERTED.popitem()
         while len(_CUPS) > cups_before:
             _CUPS.popitem()
         raise
-
-
-def insert_level(expansion: dict, a: int, node_budget: int) -> dict[CupDiagram, int]:
-    """``expansion`` with the arc (a, 2k) inserted into each of its cups.
-
-    ``expansion`` maps the session's diagrams of k - 1 arcs to
-    multiplicities, and so does the new dict returned.  A cup's sinks are
-    counted before its insertion is made: the stored ones, else 2^c for
-    the c arcs covering a, the surplus of left ends below a.  Raises
-    ``SizeLimitError`` as soon as the cups counted so far give a tree,
-    2 * (sum of multiplicities) - 1 nodes, larger than ``node_budget``.
-    """
-    level: dict[CupDiagram, int] = {}
-    total = 0
-    for cup, mult in expansion.items():
-        sinks = _INSERTED.get((cup, a))
-        total += mult * (len(sinks) if sinks else
-                         1 << 2 * bisect_left(cup.arcs, (a,)) - a + 1)
-        if 2 * total - 1 > node_budget:
-            raise SizeLimitError("resolution exceeded its node budget")
-        for sink in sinks or insert_arc(cup, a):
-            level[sink] = level.get(sink, 0) + mult
-    return level
+    return levels
 
 
 def _peel(arcs: tuple) -> list[int]:
@@ -327,22 +330,17 @@ def resolve_full(
 ) -> dict[CupDiagram, int]:
     """Expansion of ``m`` over cup diagrams: sink -> multiplicity.
 
-    The result is the last level of the insertion, returned as it stands:
-    a new dict on each call, in an unspecified order (a caller that shows
-    one sorts it), whose keys are the session's read-only diagrams in
-    ``_CUPS``, shared between calls (``_EMPTY`` for the empty matching).
-    Raises ``SizeLimitError`` when the resolution tree has more than
-    ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
+    The result is the last level of ``expand`` on the peeled left ends, as
+    it stands: a new dict on each call, in an unspecified order (a caller
+    that shows one sorts it), whose keys are the session's read-only
+    diagrams in ``_CUPS``, shared between calls (``_EMPTY`` for the empty
+    matching).  Raises ``SizeLimitError`` when the resolution tree has more
+    than ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
     leaves both session tables as it found them.  The tree size, like the
     sinks, is the same for every resolution strategy.
     """
-    if node_budget < 1:  # every tree has its root
-        raise SizeLimitError("resolution exceeded its node budget")
-    expansion = root_level()
-    with undo_on_refusal():
-        for a in _peel(m.arcs):
-            expansion = insert_level(expansion, a, node_budget)
-    return expansion
+    lefts = tuple(_peel(m.arcs))
+    return expand(([lefts[:k]] for k in range(1, len(lefts) + 1)), node_budget)[lefts]
 
 
 def _partners(arcs, n2: int) -> list[int]:

@@ -27,7 +27,7 @@ from types import MappingProxyType
 from ._value import Value
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
-from .resolution import DEFAULT_NODE_BUDGET, insert_level, root_level, undo_on_refusal
+from .resolution import DEFAULT_NODE_BUDGET, expand
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
@@ -147,21 +147,17 @@ def transition_matrix(n: int) -> TransitionMatrix:
 
     Column T of M_k is the sum over c' of M_{k-1}[c', T'] * R(c', a), where
     a = ``top[-1]``, T' has top row ``top[:-1]``, and R(c', a) resolves c'
-    lifted over a (entries >= a raised by one) plus the arc (a, 2k).  R, and
-    the insertions it branches into, are read from or kept in the session
-    tables that ``resolve_full`` uses, and each column is keyed on their
-    diagrams until its rows are read off by the arcs of ``cup_of_tableau``.  A column
-    whose resolution tree, 2 * (column sum) - 1 nodes, exceeds
-    ``DEFAULT_NODE_BUDGET`` raises ``SizeLimitError`` and leaves both tables
-    as it found them.
+    lifted over a (entries >= a raised by one) plus the arc (a, 2k).  The
+    column matching of T peels to its top row, so the columns are
+    ``expand`` run on every k's top rows, in the session tables that
+    ``resolve_full`` uses, and keyed on their diagrams until the rows are
+    read off by the arcs of ``cup_of_tableau``.  A column whose resolution
+    tree, 2 * (column sum) - 1 nodes, exceeds ``DEFAULT_NODE_BUDGET``
+    raises ``SizeLimitError`` and leaves both tables as it found them.
     """
-    columns: dict[tuple, dict] = {(): root_level()}  # M_0, by top row
-    with undo_on_refusal():
-        for k in range(1, n + 1):
-            index = enumerate_syt(k, max_n=n)
-            columns = {t.top: insert_level(columns[t.top[:-1]], t.top[-1],
-                                           DEFAULT_NODE_BUDGET)
-                       for t in index}
+    columns = expand(((t.top for t in enumerate_syt(k, max_n=n))
+                      for k in range(1, n + 1)), DEFAULT_NODE_BUDGET)
+    index = enumerate_syt(n, max_n=n)
     row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
     return TransitionMatrix._trusted(n, index, tuple(
         MappingProxyType({row_of[w.arcs]: mult

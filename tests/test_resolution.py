@@ -1,6 +1,8 @@
 import hashlib
 import json
 import random
+import tracemalloc
+from bisect import bisect_left
 from types import SimpleNamespace
 
 import pytest
@@ -188,6 +190,7 @@ class TestResolveFull:
         # True == 1 with the same hash, so an accepted True dot would put
         # its sinks in the session table under the valid matching's arcs.
         resolution_module._INSERTED.clear()
+        resolution_module._CUPS.clear()
         with pytest.raises(ValueError):
             resolve_full(Matching([(True, 3), (2, 4)]))
         sinks = resolve_full(Matching([(1, 3), (2, 4)]))
@@ -224,13 +227,17 @@ class TestResolveFull:
 
     def test_node_budget_counts_tree_nodes(self):
         # 16 sinks with multiplicity, so every strategy's tree has 31 nodes;
-        # the outcome must not depend on what the session table already holds.
+        # the outcome must not depend on what the session tables already hold.
         m = Matching([(1, 5), (2, 6), (3, 7), (4, 8)])
-        table = resolution_module._INSERTED
-        table.clear()
+
+        def cold():
+            resolution_module._INSERTED.clear()
+            resolution_module._CUPS.clear()
+
+        cold()
         with pytest.raises(SizeLimitError):
             resolve_full(m, node_budget=30)  # cold
-        table.clear()
+        cold()
         assert sum(resolve_full(m, node_budget=31).values()) == 16  # cold
         assert sum(resolve_full(m, node_budget=31).values()) == 16  # warm
         with pytest.raises(SizeLimitError):
@@ -242,7 +249,7 @@ class TestResolveFull:
             assert len(graph.nodes) == 31
 
         def warm_through_matrix(n):
-            table.clear()
+            cold()
             transition_matrix.cache_clear()
             transition_matrix(n)  # fills the session table too
 
@@ -250,12 +257,12 @@ class TestResolveFull:
         for _ in range(12):
             n = rng.randint(1, 5)
             m = Matching(random_matching_arcs(rng, 2 * n))
-            table.clear()
+            cold()
             sinks = resolve_full(m)
             size = len(build_resolution_graph(m).nodes)
             assert size == 2 * sum(sinks.values()) - 1
-            # a cold table, one warm with m itself, one warmed by the matrix
-            warmups = (table.clear, lambda: None, lambda: warm_through_matrix(n))
+            # cold tables, ones warm with m itself, ones warmed by the matrix
+            warmups = (cold, lambda: None, lambda: warm_through_matrix(n))
             for prepare in warmups:
                 prepare()
                 with pytest.raises(SizeLimitError):
@@ -520,11 +527,12 @@ def _insertions(max_arcs):
 
 def _assert_trusted_keys(m, sinks):
     """What validating each key used to check, asserted directly."""
-    warm, resolution_module._INSERTED = resolution_module._INSERTED, {}
+    warm = resolution_module._INSERTED, resolution_module._CUPS
+    resolution_module._INSERTED, resolution_module._CUPS = {}, {}
     try:
-        cold = list(resolve_full(m))  # on an empty session table
+        cold = list(resolve_full(m))  # on empty session tables
     finally:
-        resolution_module._INSERTED = warm
+        resolution_module._INSERTED, resolution_module._CUPS = warm
     assert list(sinks) == cold == list(resolve_full(m))
     for w in sinks:
         assert type(w) is CupDiagram
@@ -718,6 +726,48 @@ class TestInsertionResolution:
                 resolve_full(m, node_budget=30)
             prepare()
             assert sum(resolve_full(m, node_budget=31).values()) == 16
+
+    def test_oversized_call_refuses_before_its_last_level(self):
+        # A 24-dot matching whose tree passes the default budget: the level
+        # that would pass it is counted, not built, so the refusal peaks at
+        # about 33 MiB where building most of that level peaked near 120 MiB.
+        m = Matching(random_matching_arcs(random.Random(4), 24))
+        warm = resolution_module._INSERTED, resolution_module._CUPS
+        resolution_module._INSERTED, resolution_module._CUPS = {}, {}
+        try:
+            resolve_full(THREE_COLUMN)
+            before = dict(resolution_module._INSERTED), dict(resolution_module._CUPS)
+            tracemalloc.start()
+            try:
+                with pytest.raises(SizeLimitError,
+                                   match="resolution exceeded its node budget"):
+                    resolve_full(m)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (resolution_module._INSERTED, resolution_module._CUPS) == before
+        finally:
+            resolution_module._INSERTED, resolution_module._CUPS = warm
+        assert peak < 48 * 2**20
+
+    def test_matrix_build_runs_no_exact_count(self, monkeypatch):
+        # The free bound 2 * (sum << (k - 1)) - 1 stays under the budget at
+        # every level of the n = 8 build, so no cup's covering arcs are
+        # counted; ``_peel``, which also bisects, is not called by the build.
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return bisect_left(*args)
+
+        monkeypatch.setattr(resolution_module, "bisect_left", spy)
+        transition_matrix.cache_clear()
+        assert transition_matrix(8).size == 1430
+        assert calls == []
+        nested, flat = CupDiagram([(1, 4), (2, 3)]), CupDiagram([(1, 2), (3, 4)])
+        with pytest.raises(SizeLimitError):  # an exact count, seen by the spy
+            insert_level({nested: 2, flat: 1}, 3, 14)
+        assert len(calls) == 2
 
     def test_sinks_digest_n8(self):
         rng = random.Random(8)
