@@ -25,9 +25,9 @@ from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from ._value import Value
-from .diagrams import Matching, column_matching, is_noncrossing, swap_dots
+from .diagrams import CupDiagram, Matching, column_matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
-from .resolution import resolve_full
+from .resolution import _cup, resolve_full
 from .young import StandardTableau, is_permutation, t0
 
 DEFAULT_STEP_BUDGET = 10**6
@@ -263,13 +263,39 @@ def act_matching(i: int, v: DiagramVector) -> DiagramVector:
 def act_web(i: int, v: DiagramVector) -> DiagramVector:
     """Generator i on cup diagrams, re-expressed in the noncrossing basis.
 
-    Swapping the dots of a cup diagram creates at most one crossing, which
-    is resolved away; the support of the result stays noncrossing.
+    Swapping the dots i and i+1 of a cup diagram w creates at most one
+    crossing.  Its two smoothings are w itself and w', which joins i to
+    i+1 and the two partners to each other, so w goes to -w when (i, i+1)
+    is an arc and to w + w' otherwise.  Keys are the session's diagrams,
+    the same objects that ``resolve_full`` returns.
     """
     for w in v.terms:
         if not is_noncrossing(w):
             raise ValueError(f"support must be noncrossing, got {w!r}")
-    return to_web_basis(act_matching(i, v))
+    if not 1 <= i < v.n2:
+        raise ValueError(f"generator index {i} out of range for n2={v.n2}")
+    j = i + 1
+    out: dict[CupDiagram, int] = {}
+    for w, coeff in v.terms.items():
+        rest = []  # the arcs at neither i nor j; p and q are their partners
+        for arc in w.arcs:
+            x, y = arc
+            if x == i or y == i:
+                p = x + y - i
+            elif x == j or y == j:
+                q = x + y - j
+            else:
+                rest.append(arc)
+        key = _cup(w.arcs)
+        if p == j:
+            out[key] = out.get(key, 0) - coeff
+            continue
+        out[key] = out.get(key, 0) + coeff
+        rest += [(i, j), (p, q) if p < q else (q, p)]
+        # Smoothing the one crossing of a relabelled cup leaves a cup.
+        key = _cup(tuple(sorted(rest)))
+        out[key] = out.get(key, 0) + coeff
+    return DiagramVector._trusted(v.n2, {w: c for w, c in out.items() if c})
 
 
 def _straighten(
@@ -288,15 +314,24 @@ def _straighten(
     final vector, and expanded once.  ``step_budget`` bounds these
     expansions, and their count is returned with the result.
 
-    A pending filling is one flat tuple (-b_1, ..., -b_n, a_1, ..., a_n),
-    whose natural order is the pop order, so the heap holds the fillings
-    themselves.  The keep-order child swaps two bottoms, and both children
-    are built by slicing; a new keep-order child takes over its parent's
-    vector.  A seed without labels yields nothing and is dropped, so no
-    pending vector is empty.  Results go back to column tuples built from
-    one shared pair tuple per column value.
+    A pending filling is one flat sequence (255 - b_1, ..., 255 - b_n, a_1,
+    ..., a_n), whose natural order is the pop order, so the heap holds the
+    fillings themselves.  It is ``bytes``, which hash once and compare as
+    memory, unless an entry of some seed exceeds 254; then the same loop
+    runs on tuples.  Both children are built in one mutable copy of their
+    parent: the keep-order child swaps two bottoms, then the re-sorted
+    child takes bottom c at the first of them and moves one run of bottoms
+    and one run of tops down a slot to make room for (x/b).  A new
+    keep-order child takes over its parent's vector.  A seed without
+    labels yields nothing and is dropped, so no pending vector is empty.
+    Results go back to column tuples built from one shared pair tuple per
+    column value.
     """
-    vectors = {tuple([-b for _, b in cols] + [a for a, _ in cols]): dict(vec)
+    if any(2 * len(cols) > 254 for cols in seeds):  # 2n: the largest entry
+        pack, unpack = tuple, list
+    else:
+        pack, unpack = bytes, bytearray
+    vectors = {pack([255 - b for _, b in cols] + [a for a, _ in cols]): dict(vec)
                for cols, vec in seeds.items() if vec}
     heap = list(vectors)
     heapify(heap)
@@ -309,17 +344,18 @@ def _straighten(
         if not any(vec.values()):
             continue
         n = len(v) >> 1
-        # Bottoms are negated here: ``low`` is minus the largest bottom so far
-        # and x minus the least nested one, ``none`` while no bottom is nested.
-        none = -2 * n - 1  # below every entry
-        low, x = 0, none
+        # Bottoms are stored as 255 - b: ``low`` is that of the largest
+        # bottom so far and x that of the least nested one, ``none`` while
+        # no bottom is nested.
+        none = 254 - 2 * n  # below every entry
+        low, x = 255, none
         for e in v[:n]:
             if e < low:
                 low = e
             elif e > x:
                 x = e
         if x == none:
-            cols = list(zip(v[n:], [-e for e in v[:n]]))
+            cols = list(zip(v[n:], [255 - e for e in v[:n]]))
             out[tuple(map(pairs.setdefault, cols, cols))] = vec
             continue
         steps += 1
@@ -332,15 +368,22 @@ def _straighten(
         while v[i] > x:  # stops before k, at the first bottom above x
             i += 1
         b = v[i]
-        # With x and b negated, normal form and i < k give a < c < -x < -b for
-        # the tops a = v[n + i] and c = v[n + k].  The column (-x/-b) of the
-        # re-sorted child goes before the first top after column k above -x:
-        # its top at slot p, its bottom at slot q.
-        p = bisect_left(v, -x, n + k + 1)
+        # As stored, normal form and i < k give a < c < 255 - x < 255 - b
+        # for the tops a = v[n + i] and c = v[n + k].  The column
+        # (255 - x / 255 - b) of the re-sorted child goes before the first
+        # top after column k above 255 - x: its top at slot p - 1, its
+        # bottom at slot q - 1, once columns k + 1 to q - 1 move down one.
+        p = bisect_left(v, 255 - x, n + k + 1)
         q = p - n
-        keep_order = v[:i] + (x,) + v[i + 1:k] + (b,) + v[k + 1:]
-        resorted = (v[:i] + (-v[n + k],) + v[i + 1:k] + v[k + 1:q] + (b,)
-                    + v[q:n + k] + v[n + k + 1:p] + (-x,) + v[p:])
+        child = unpack(v)
+        child[i], child[k] = x, b
+        keep_order = pack(child)
+        child[i] = 255 - v[n + k]
+        child[k:q - 1] = v[k + 1:q]
+        child[q - 1] = b
+        child[n + k:p - 1] = v[n + k + 1:p]
+        child[p - 1] = 255 - x
+        resorted = pack(child)
         # One hash per child: a pending vector is never empty, so an empty
         # one is new, and a new keep-order child takes ``vec`` itself.
         target = vectors.setdefault(resorted, {})

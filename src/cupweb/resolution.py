@@ -23,10 +23,11 @@ insertion crossing c arcs has 2^c distinct sinks, counted before their
 level is made, and each coefficient counts the branch paths ending at its cup.
 Every cup the first table holds, as a key or as a sink, is the session's
 one read-only ``CupDiagram`` for its arcs: the empty cup is one constant,
-and every other is kept in a second table, made only when an insertion is
-first resolved.  The expansion levels key on these diagrams, so the last
-level is the result as it stands.  ``expand`` runs the levels, for the
-matrix build too, and only a call that succeeds adds to either table.
+and every other is kept in a second table, made when an insertion is
+first resolved (or ``act_web`` first names it).  The expansion levels key
+on these diagrams, so the last level is the result as it stands.
+``expand`` runs the levels, for the matrix build too, and only a call that
+succeeds adds to either table.
 
 ``witness_path`` constructs, for tableaux T and S with the top row of S
 dominating the top row of T componentwise, one specific move sequence
@@ -43,8 +44,10 @@ of S appears as a leaf for the column matching of T.  The construction and
 the target cup as partner arrays, lists indexed by dot whose entry d is
 the dot joined to d (entry 0 unused), next to a sorted list of live dots:
 each move is read off the arrays and applied by rewiring four entries,
-with no ``Matching`` built in between.  The construction checks that each
-move's arcs cross and then builds it without the constructors' checks.
+with no ``Matching`` built in between.  The construction reads the four
+dots of each move off the arrays, checks that its arcs cross, builds the
+move without the constructors' checks and rewires the four entries from
+the dots it holds.
 """
 
 from __future__ import annotations
@@ -204,8 +207,8 @@ def build_resolution_graph(
 _INSERTED: dict[tuple[CupDiagram, int], tuple[CupDiagram, ...]] = {}
 
 # The session's read-only cups: arcs -> the one ``CupDiagram`` that the table
-# above and every ``resolve_full`` result use for them.  Each is a key or a
-# sink of an insertion, so it holds at most C_n diagrams of each dot count 2n
+# above, every ``resolve_full`` result and every ``act_web`` result use for
+# them.  Keyed on arcs, it holds at most C_n diagrams of each dot count 2n
 # (1,430 at n = 8).
 _CUPS: dict[tuple, CupDiagram] = {}
 
@@ -217,8 +220,9 @@ _EMPTY = CupDiagram._trusted(())
 def _cup(arcs: tuple) -> CupDiagram:
     """The session's diagram on ``arcs``, made unvalidated on first use.
 
-    Only ``insert_arc`` calls it, on cups that lifting, lowering and
-    smoothing made from a cup: no crossing, and the dots a permutation.
+    ``insert_arc`` and ``actions.act_web`` call it, on canonical arcs of a
+    cup or of a smoothing of its one crossing: no crossing, and the dots a
+    permutation.
     """
     return _CUPS.get(arcs) or _CUPS.setdefault(arcs, CupDiagram._trusted(arcs))
 
@@ -352,15 +356,6 @@ def _partners(arcs, n2: int) -> list[int]:
     return partner
 
 
-def _smooth(partner: list[int], crossing: Crossing, kind: MoveKind) -> None:
-    """``resolve_step`` on a partner array: rewire the four dots of ``crossing``."""
-    (a, c), (b, d) = crossing.left, crossing.right
-    if kind is MoveKind.VV:
-        partner[a], partner[b], partner[c], partner[d] = b, a, d, c
-    else:
-        partner[a], partner[d], partner[b], partner[c] = d, a, c, b
-
-
 def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
     """A move script from the column matching of ``t`` to the cup diagram of ``s``.
 
@@ -386,35 +381,44 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
     live = list(range(1, n2 + 1))
     moves: list[Move] = []
     level = 0
-
-    def step(left: tuple, right: tuple, kind: MoveKind) -> None:
-        # The dots are ints from the arrays, so checking that the arcs cross
-        # is all the public constructors would add.
-        if not left[0] < right[0] < left[1] < right[1]:
-            raise RuntimeError(
-                f"witness construction failed at level {level}: "
-                f"arcs {left}, {right} do not cross")
-        move = Move._trusted(Crossing._trusted(left, right), kind)
-        _smooth(cur, move.crossing, kind)
-        moves.append(move)
-
+    vv, nested = MoveKind.VV, MoveKind.NESTED
+    move, crossing = Move._trusted, Crossing._trusted
     while live:
         level += 1
         top_dot = live[-1]
-        a = next(d for d in reversed(live) if cur[d] > d)
+        for a in reversed(live):  # the rightmost left end
+            if cur[a] > a:
+                break
         if cur[top_dot] != a:
             raise RuntimeError(
                 f"witness construction failed at level {level}: "
                 f"dot {top_dot} is not matched to the rightmost left endpoint {a}"
             )
-        b = next(d for d in reversed(live) if target[d] > d)
+        for b in reversed(live):
+            if target[b] > b:
+                break
         k = bisect_left(live, b)
+        # Each move rewires the four dots it names; the dots are ints from
+        # the arrays, so checking that the arcs cross is all the public
+        # constructors would add.
         # Phase 1: VV against the arcs ending in (a, b], nearest first.
         for r in live[bisect_right(live, a):k + 1]:
-            step((cur[r], r), (cur[top_dot], top_dot), MoveKind.VV)
+            x, y = cur[r], cur[top_dot]
+            if not x < y < r < top_dot:
+                raise RuntimeError(
+                    f"witness construction failed at level {level}: "
+                    f"arcs {(x, r)}, {(y, top_dot)} do not cross")
+            moves.append(move(crossing((x, r), (y, top_dot)), vv))
+            cur[x], cur[y], cur[r], cur[top_dot] = y, x, top_dot, r
         # Phase 2: nested against the arcs ending strictly after b, farthest first.
         for r in reversed(live[k + 1:-1]):
-            step((cur[r], r), (b, cur[b]), MoveKind.NESTED)
+            x, y = cur[r], cur[b]
+            if not x < b < r < y:
+                raise RuntimeError(
+                    f"witness construction failed at level {level}: "
+                    f"arcs {(x, r)}, {(b, y)} do not cross")
+            moves.append(move(crossing((x, r), (b, y)), nested))
+            cur[x], cur[y], cur[b], cur[r] = y, x, r, b
         b_next = live[k + 1]
         if cur[b] != b_next or target[b] != b_next:
             raise RuntimeError(
@@ -436,19 +440,25 @@ def check_witness(
     ``t``.  Each move passes the checks ``resolve_step`` makes: its kind is
     a ``MoveKind``, its four dots are ints (``True`` and ``1.0`` are not)
     in 1..2n, its arcs (a, c) and (b, d) cross, a < b < c < d, and both are
-    arcs of the current matching.
+    arcs of the current matching.  An entry that is not a move, such as
+    ``None``, fails like any other malformed step.
     """
     n2 = 2 * t.n
     cur = _partners(t.columns(), n2)
+    vv = MoveKind.VV
     try:
         for move in script:
+            kind = move.kind
             (a, c), (b, d) = move.crossing.left, move.crossing.right
-            if not (type(move.kind) is MoveKind
+            if not (type(kind) is MoveKind
                     and type(a) is type(b) is type(c) is type(d) is int
                     and 0 < a < b < c < d <= n2 and cur[a] == c and cur[b] == d):
                 return False
-            _smooth(cur, move.crossing, move.kind)
-    except ValueError:
+            if kind is vv:
+                cur[a], cur[b], cur[c], cur[d] = b, a, d, c
+            else:
+                cur[a], cur[d], cur[b], cur[c] = d, a, c, b
+    except (AttributeError, TypeError, ValueError):  # not a move, or arcs not pairs
         return False
     return cur == _partners(cup_of_tableau(s).arcs, 2 * s.n)
 

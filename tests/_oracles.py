@@ -14,12 +14,15 @@ for the package kernel, which rewrites at the least nested bottom entry;
 ``psi_by_sweep`` straightens every cup with it in one sweep, the
 reference for the sweep of ``verify_psi`` and ``inverse_matrix``.
 ``straighten_on_columns`` is the package kernel as it was on column
-tuples, the reference for its flat pending form, results, their order and
-step counts alike.  Two
-references reuse package code: ``witness_by_matchings`` and
+tuples, the reference for its pending form, flat ``bytes`` or, past an
+entry of 254, flat tuples: results, their order and step counts alike.
+Two references reuse package code: ``witness_by_matchings`` and
 ``check_by_steps`` build and replay witness scripts on validated
 ``Matching`` objects with ``resolve_step``, the references for the
-partner-array ``witness_path`` and ``check_witness``.
+partner-array ``witness_path`` and ``check_witness``; a script entry
+that is not a move fails both.  The closed form of ``act_web`` is
+checked against the package's own ``to_web_basis`` of ``act_matching``,
+a full resolution of the swapped matching.
 """
 
 from bisect import bisect_left, insort
@@ -318,7 +321,7 @@ def check_by_steps(t, s, script):
         for move in script:
             cur = resolve_step(cur, move.crossing, move.kind)
         return cur == Matching(cup_of_tableau(s).arcs)
-    except ValueError:
+    except (AttributeError, TypeError, ValueError):  # not a move, or arcs not pairs
         return False
 
 

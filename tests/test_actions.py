@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cupweb import (
+    CupDiagram,
     DiagramVector,
     Matching,
     SizeLimitError,
@@ -26,6 +27,7 @@ from cupweb import (
     garnir_straighten,
     paths_between,
     build_tableau_graph,
+    resolve_full,
     shifted_product,
     t0,
     to_web_basis,
@@ -372,6 +374,38 @@ class TestActWeb:
         with pytest.raises(ValueError):
             act_web(1, DiagramVector.unit(Matching([(1, 3), (2, 4)])))
 
+    @staticmethod
+    def assert_resolved_form(i, v):
+        """``act_web`` equals resolving the swapped matchings, on the shared diagrams."""
+        got = act_web(i, v)
+        assert got == to_web_basis(act_matching(i, v))
+        for key in got.terms:
+            assert type(key) is CupDiagram
+            assert key is next(iter(resolve_full(Matching(key.arcs))))
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_equals_the_resolution_on_every_cup(self, n):
+        for tab in enumerate_syt(n):
+            v = DiagramVector.unit(cup_of_tableau(tab))
+            for i in range(1, 2 * n):
+                self.assert_resolved_form(i, v)
+
+    def test_equals_the_resolution_on_seeded_vectors(self):
+        # Terms may cancel, and some keys are noncrossing ``Matching``s.
+        rng = random.Random(29)
+        cups = [cup_of_tableau(t) for t in enumerate_syt(7)]
+        for _ in range(200):
+            terms = {}
+            for w in rng.sample(cups, rng.randint(2, 5)):
+                key = Matching(w.arcs) if rng.random() < 0.5 else w
+                terms[key] = rng.choice([-3, -1, 1, 2])
+            self.assert_resolved_form(rng.randint(1, 13), DiagramVector(14, terms))
+
+    @pytest.mark.parametrize("i", [0, 4, -1])
+    def test_index_range(self, i):
+        with pytest.raises(ValueError, match="out of range"):
+            act_web(i, DiagramVector.unit(CupDiagram([(1, 4), (2, 3)])))
+
     def test_support_stays_noncrossing(self):
         from cupweb import is_noncrossing
 
@@ -640,6 +674,61 @@ class TestFlatKernel:
         for cols in out:
             for col in cols:
                 assert pairs.setdefault(col, col) is col
+
+
+def wide_filling(n, tail):
+    """Standard columns (1/2), (3/4), ... before ``tail``, the columns on
+    the last 2 * len(tail) entries, to a filling of 1..2n."""
+    head = n - len(tail)
+    shift = 2 * head
+    return tuple((2 * j + 1, 2 * j + 2) for j in range(head)) + tuple(
+        (a + shift, b + shift) for a, b in tail)
+
+
+# Bottoms 6 > 5 form the one nested pair; re-sorted, (5/6) goes after the
+# columns with tops 3 and 4, so that child has nested pairs of its own.
+ONE_NESTED = ((1, 6), (2, 5), (3, 7), (4, 8), (9, 10))
+ONE_NESTED_STEPS = 5  # as on these five columns alone
+
+
+class TestKernelPastOneByte:
+    """Past an entry of 254 the kernel holds pending fillings as tuples;
+    both forms give what the column-tuple kernel gives, in as many steps."""
+
+    @pytest.mark.parametrize("n", [127, 128, 130])
+    def test_standard_filling_is_its_own_result(self, n):
+        cols = wide_filling(n, ())
+        assert assert_same_sweep({cols: {None: 1}}) == 0
+        assert garnir_straighten(TwoRowTableau(cols)) == TabloidVector.unit(
+            TwoRowTableau(cols))
+
+    @pytest.mark.parametrize("n", [127, 128, 130])
+    def test_one_nested_pair(self, n):
+        cols = wide_filling(n, ONE_NESTED)
+        assert assert_same_sweep({cols: {None: 1}}) == ONE_NESTED_STEPS
+        got = garnir_straighten(TwoRowTableau(cols))
+        want, _ = straighten_on_columns({cols: {None: 1}}, DEFAULT_STEP_BUDGET)
+        assert got == TabloidVector(n, {TwoRowTableau(k): c[None] for k, c in want.items()})
+
+    def test_the_steps_are_those_of_the_tail_alone(self):
+        assert assert_same_sweep({ONE_NESTED: {None: 1}}) == ONE_NESTED_STEPS
+
+    def test_tails_of_several_nested_pairs(self):
+        rng = random.Random(130)
+        for _ in range(20):
+            tail = random_filling(rng, 6).columns
+            assert_same_sweep({wide_filling(130, tail): {None: rng.choice([-1, 2])}})
+
+    def test_act_polytabloid_on_a_standard_key(self):
+        # Generator 255 swaps the bottoms of the key's columns (251/255) and
+        # (252/256), which leaves the filling of ``ONE_NESTED``.
+        key = TwoRowTableau(wide_filling(130, ((1, 5), (2, 6), (3, 7), (4, 8), (9, 10))))
+        assert key.is_standard()
+        swapped = wide_filling(130, ONE_NESTED)
+        assert assert_same_sweep({swapped: {None: 1}}) == ONE_NESTED_STEPS
+        want, _ = straighten_on_columns({swapped: {None: 1}}, DEFAULT_STEP_BUDGET)
+        assert act_polytabloid(255, TabloidVector.unit(key)) == TabloidVector(
+            130, {TwoRowTableau(k): c[None] for k, c in want.items()})
 
 
 class TestIntertwining:

@@ -342,6 +342,11 @@ MALFORMED.update({
     f"kind {kind!r}": (_SELF, _SELF, [SimpleNamespace(crossing=m.crossing, kind=kind)
                                       for m in witness_path(_SELF, _SELF)])
     for kind in ("VV", "V", None, True)})
+# Entries that are not moves, or a move without a crossing, in a script
+# that lands on the target without them: skipped, they would pass.
+MALFORMED.update({
+    f"entry {entry!r}": (T_FIVE, S_FIVE, WALK[:2] + [entry] + WALK[2:])
+    for entry in (None, 1, "x", Move(None, MoveKind.VV))})
 
 
 class TestWitnessPath:

@@ -143,3 +143,53 @@ def test_a_cup_diagram_equals_the_matching_on_its_arcs():
     crossing, tableau = Crossing((1, 3), (2, 4)), StandardTableau((1, 3), (2, 4))
     assert hash(crossing) == hash(tableau) and crossing != tableau
     assert not crossing == tableau and len({crossing, tableau}) == 2
+
+
+# The types whose own ``_trusted`` takes other arguments than the slots:
+# ``Matching``'s computes the hash slot, the vectors' wrap a dict of terms.
+OWN_TRUSTED = {
+    "Matching": lambda m: (m.arcs,),
+    "CupDiagram": lambda m: (m.arcs,),
+    "TabloidVector": lambda v: (v.size, dict(v.terms)),
+    "DiagramVector": lambda v: (v.size, dict(v.terms)),
+}
+
+
+def _slots(cls):
+    return [name for k in reversed(cls.__mro__) for name in k.__dict__.get("__slots__", ())]
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_trusted_builds_what_the_constructor_builds(name):
+    value = EXAMPLES[name][0]()
+    cls = type(value)
+    args = OWN_TRUSTED.get(name, lambda v: tuple(getattr(v, s) for s in _slots(cls)))(value)
+    built = cls._trusted(*args)
+    assert type(built) is cls and built == value and repr(built) == repr(value)
+    for slot in _slots(cls):
+        assert getattr(built, slot) == getattr(value, slot)
+    for clone in (copy.copy(built), copy.deepcopy(built), pickle.loads(pickle.dumps(built))):
+        assert type(clone) is cls and clone == value and repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_own_trusted_is_kept_and_every_other_is_unrolled(name):
+    cls = type(EXAMPLES[name][0]())
+    if name in OWN_TRUSTED:
+        owner = next(k for k in cls.__mro__ if "_trusted" in k.__dict__)
+        assert owner.__name__ in ("Matching", "_SparseVector")
+        assert cls._trusted.__func__ is owner.__dict__["_trusted"].__func__
+    else:
+        assert cls._trusted is cls._build
+        code = cls._build.__code__
+        assert "zip" not in code.co_names and code.co_argcount == len(_slots(cls))
+
+
+def test_a_subclass_with_a_slot_more_gets_its_own_trusted():
+    class Flagged(Check):
+        __slots__ = ("flag",)
+
+    flagged = Flagged._trusted("diagonal-ones", True, None, False, "extra")
+    assert flagged.flag == "extra" and flagged.name == "diagonal-ones"
+    assert Flagged._trusted is not Check._trusted
+    assert Check._trusted("diagonal-ones", True, None, False) == Check("diagonal-ones", True)
