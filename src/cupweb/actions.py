@@ -25,7 +25,7 @@ from types import MappingProxyType
 from typing import Hashable, Iterable, Mapping, Sequence, Union
 
 from ._value import Value
-from .diagrams import CupDiagram, Matching, column_matching, is_noncrossing, swap_dots
+from .diagrams import CupDiagram, Matching, is_noncrossing, swap_dots
 from .errors import SizeLimitError
 from .resolution import _cup, resolve_full
 from .young import StandardTableau, is_permutation, t0
@@ -77,7 +77,7 @@ class TwoRowTableau(Value):
 
     @classmethod
     def from_standard(cls, tableau: StandardTableau) -> "TwoRowTableau":
-        return cls(tableau.columns())
+        return cls._trusted(tableau.columns())
 
     def to_json(self) -> dict:
         return {"top": list(self.top), "bottom": list(self.bottom)}
@@ -409,7 +409,7 @@ def garnir_straighten(
     ``step_budget`` bounds the distinct fillings expanded for the whole
     input, however many of its keys share them.
     """
-    vec = TabloidVector.unit(x) if isinstance(x, TwoRowTableau) else x
+    vec = TabloidVector._trusted(x.n, {x: 1}) if isinstance(x, TwoRowTableau) else x
     seeds = {key.columns: {None: coeff} for key, coeff in vec.terms.items()}
     out, _ = _straighten(seeds, step_budget)
     # The kernel's keys are standard normal-form columns: no re-validation.
@@ -432,9 +432,8 @@ def act_polytabloid(i: int, v: TabloidVector) -> TabloidVector:
             raise ValueError(f"key {key!r} is not standard")
         columns, sign = _normal_form(
             (swap.get(a, a), swap.get(b, b)) for a, b in key.columns)
-        tab = TwoRowTableau._trusted(columns)  # a relabelled key stays in normal form
-        swapped[tab] = swapped.get(tab, 0) + sign * coeff
-    return garnir_straighten(TabloidVector(v.n, swapped))
+        swapped[TwoRowTableau._trusted(columns)] = sign * coeff  # keys stay distinct
+    return garnir_straighten(TabloidVector._trusted(v.n, swapped))
 
 
 def cup_polytabloid(
@@ -447,7 +446,7 @@ def cup_polytabloid(
     """
     if not is_noncrossing(w):
         raise ValueError("input must be a cup diagram (no crossings)")
-    tab = TwoRowTableau(w.arcs)
+    tab = TwoRowTableau._trusted(w.arcs)
     return tab, garnir_straighten(tab, step_budget)
 
 
@@ -458,7 +457,7 @@ def shifted_product(n: int, word: Sequence[int]) -> TabloidVector:
     letter acts first.  A word obtained from a directed path out of the
     minimum tableau should therefore be reversed by the caller.
     """
-    v = TabloidVector.unit(TwoRowTableau.from_standard(t0(n)))
+    v = TabloidVector._trusted(n, {TwoRowTableau.from_standard(t0(n)): 1})
     for i in reversed(tuple(word)):
         v = act_polytabloid(i, v) - v
     return v
@@ -466,11 +465,9 @@ def shifted_product(n: int, word: Sequence[int]) -> TabloidVector:
 
 def column_matching_vector(v: TabloidVector) -> DiagramVector:
     """Replace each filling by the matching pairing its column entries."""
-    out: dict[Matching, int] = {}
-    for key, coeff in v.terms.items():
-        m = column_matching(key.columns)
-        out[m] = out.get(m, 0) + coeff
-    return DiagramVector(2 * v.n, out)
+    # Normal-form columns are canonical arcs, distinct for distinct fillings.
+    return DiagramVector._trusted(2 * v.n, {
+        Matching._trusted(key.columns): coeff for key, coeff in v.terms.items()})
 
 
 def to_web_basis(v: DiagramVector) -> DiagramVector:

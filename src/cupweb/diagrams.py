@@ -91,7 +91,7 @@ class CupDiagram(Matching):
 
     def __init__(self, arcs: Iterable[Sequence[int]]):
         super().__init__(arcs)
-        if not is_noncrossing(self):
+        if next(crossing_pairs(self.arcs), None) is not None:
             raise ValueError(f"{self.arcs} has a crossing")
 
 
@@ -129,34 +129,43 @@ def crossings(m: Matching) -> list[Crossing]:
 
 
 def is_noncrossing(m: Matching) -> bool:
-    return next(crossing_pairs(m.arcs), None) is None
+    """True when no two arcs cross; a ``CupDiagram`` was scanned when made."""
+    return isinstance(m, CupDiagram) or next(crossing_pairs(m.arcs), None) is None
+
+
+def _cup_partners(top, n2: int) -> list[int]:
+    """Entry d is the dot joined to d (entry 0 unused) in the cup with left ends ``top``.
+
+    ``top`` is the top row of a standard tableau on 1..``n2``.  A left end
+    opens an arc, any other dot closes the last one opened.
+    """
+    partner, opened = [0] * (n2 + 1), []
+    for a in top:
+        partner[a] = -1
+    for d in range(1, n2 + 1):
+        if partner[d]:
+            opened.append(d)
+        else:
+            partner[d] = a = opened.pop()
+            partner[a] = d
+    return partner
 
 
 def cup_of_tableau(tableau: StandardTableau) -> CupDiagram:
-    """The unique cup diagram whose left endpoints are the top row.
-
-    Scans dots left to right: a top-row entry opens an arc, a bottom-row
-    entry closes the most recently opened one.  Arcs closed this way are
-    nested or disjoint, so the sorted list is trusted as a cup diagram.
-    """
-    top = set(tableau.top)
-    stack: list[int] = []
-    arcs = []
-    for d in range(1, 2 * tableau.n + 1):
-        if d in top:
-            stack.append(d)
-        else:
-            arcs.append((stack.pop(), d))
-    return CupDiagram._trusted(tuple(sorted(arcs)))
+    """The unique cup diagram whose left endpoints are the top row."""
+    partner = _cup_partners(tableau.top, 2 * tableau.n)
+    return CupDiagram._trusted(tuple((a, partner[a]) for a in tableau.top))
 
 
 def tableau_of_cup(w: Matching) -> StandardTableau:
-    """Inverse of ``cup_of_tableau``; rejects matchings with crossings."""
+    """Inverse of ``cup_of_tableau``; rejects matchings with crossings, or no arcs."""
     if not is_noncrossing(w):
         raise ValueError("matching has a crossing; no tableau corresponds to it")
-    return StandardTableau(
-        tuple(sorted(a for a, _ in w.arcs)), tuple(sorted(b for _, b in w.arcs))
-    )
+    if not w.arcs:
+        raise ValueError("rows must be nonempty and of equal length")
+    # The k-th least right end of any matching exceeds its k-th least left end.
+    return StandardTableau._trusted(
+        w.left_endpoints(), tuple(sorted(b for _, b in w.arcs)))
 
 
 def column_matching(columns: Iterable[Sequence[int]]) -> Matching:

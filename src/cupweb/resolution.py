@@ -22,9 +22,9 @@ never touch (x, a) or (a, y), so the two branches share no sink: an
 insertion crossing c arcs has 2^c distinct sinks, counted before their
 level is made, and each coefficient counts the branch paths ending at its cup.
 Every cup the first table holds, as a key or as a sink, is the session's
-one read-only ``CupDiagram`` for its arcs: the empty cup is one constant,
-and every other is kept in a second table, made when an insertion is
-first resolved (or ``act_web`` first names it).  The expansion levels key
+one read-only ``CupDiagram`` for its arcs, kept in a second table and made
+when ``expand`` first roots an expansion at the empty cup, an insertion is
+first resolved, or ``act_web`` first names it.  The expansion levels key
 on these diagrams, so the last level is the result as it stands.
 ``expand`` runs the levels, for the matrix build too, and only a call that
 succeeds adds to either table.
@@ -42,12 +42,11 @@ on the remaining dots.  A validated script certifies that the cup diagram
 of S appears as a leaf for the column matching of T.  The construction and
 ``check_witness``, which replays a script, keep the current matching and
 the target cup as partner arrays, lists indexed by dot whose entry d is
-the dot joined to d (entry 0 unused), next to a sorted list of live dots:
-each move is read off the arrays and applied by rewiring four entries,
-with no ``Matching`` built in between.  The construction reads the four
-dots of each move off the arrays, checks that its arcs cross, builds the
-move without the constructors' checks and rewires the four entries from
-the dots it holds.
+the dot joined to d (entry 0 unused), next to a sorted list of live dots;
+the target's is scanned from the top row of S, as ``cup_of_tableau``
+reads it.  The four dots of each move are read off the arrays; the
+construction checks that its arcs cross and builds it unchecked, and the
+move rewires four entries, with no ``Matching`` built in between.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ from .diagrams import (
     CupDiagram,
     Crossing,
     Matching,
+    _cup_partners,
     _dot,
     crossings,
-    cup_of_tableau,
 )
 from .errors import DominanceError, SizeLimitError
 from .young import StandardTableau
@@ -194,35 +193,31 @@ def build_resolution_graph(
         expansions += 1
         for kind in (MoveKind.VV, MoveKind.NESTED):
             nodes.append(resolve_step(nodes[k], chosen, kind))
-            edges.append((k, Move(chosen, kind), len(nodes) - 1))
+            edges.append((k, Move._trusted(chosen, kind), len(nodes) - 1))
             queue.append(len(nodes) - 1)
     return ResolutionGraph(m, nodes, edges)
 
 
 # The session's one-arc insertions: (cup, a) -> the sinks of ``insert_arc``,
-# the cup and each sink a diagram of ``_CUPS`` (or ``_EMPTY``).  A cup of
+# the cup and each sink a diagram of ``_CUPS``.  A cup of
 # k - 1 arcs takes 1 <= a < 2k, so after matchings of up to n arcs, or the
 # matrix build to n, the table holds at most the sum over k <= n of
 # C_{k-1} * (2k - 1) entries (8,788 at n = 8), however many calls filled it.
 _INSERTED: dict[tuple[CupDiagram, int], tuple[CupDiagram, ...]] = {}
 
 # The session's read-only cups: arcs -> the one ``CupDiagram`` that the table
-# above, every ``resolve_full`` result and every ``act_web`` result use for
-# them.  Keyed on arcs, it holds at most C_n diagrams of each dot count 2n
-# (1,430 at n = 8).
+# above, every expansion level and every ``act_web`` result use for them.
+# Keyed on arcs, it holds at most C_n diagrams of each dot count 2n (1,430
+# at n = 8), the empty cup among them.
 _CUPS: dict[tuple, CupDiagram] = {}
-
-# The root of every expansion: no insertion makes it, so it is one constant
-# rather than an entry of ``_CUPS``.
-_EMPTY = CupDiagram._trusted(())
 
 
 def _cup(arcs: tuple) -> CupDiagram:
     """The session's diagram on ``arcs``, made unvalidated on first use.
 
-    ``insert_arc`` and ``actions.act_web`` call it, on canonical arcs of a
-    cup or of a smoothing of its one crossing: no crossing, and the dots a
-    permutation.
+    ``expand`` calls it on the empty cup, and ``insert_arc`` and
+    ``actions.act_web`` on canonical arcs of a cup or of a smoothing of its
+    one crossing: no crossing, and the dots a permutation.
     """
     return _CUPS.get(arcs) or _CUPS.setdefault(arcs, CupDiagram._trusted(arcs))
 
@@ -266,15 +261,15 @@ def insert_arc(cup: CupDiagram, a: int) -> tuple[CupDiagram, ...]:
 def insert_level(expansion: dict, a: int, node_budget: int) -> dict[CupDiagram, int]:
     """``expansion`` with the arc (a, 2k) inserted into each of its cups.
 
-    ``expansion`` maps the session's diagrams of k - 1 arcs to
-    multiplicities, and so does the new dict returned.  The level is
+    ``expansion``, never empty, maps the session's diagrams of k - 1 arcs
+    to multiplicities, and so does the new dict returned.  The level is
     counted before any of it is made: a cup's insertion has 2^c sinks for
     the c <= k - 1 arcs covering a, the surplus of left ends below a.
     Raises ``SizeLimitError`` when the tree, 2 * sum(mult * 2^c) - 1
     nodes, exceeds ``node_budget``; the exact sum is taken only when
     c = k - 1 for every cup would exceed it.
     """
-    bound = sum(expansion.values()) << len(next(iter(expansion), _EMPTY).arcs)
+    bound = sum(expansion.values()) << len(next(iter(expansion)).arcs)
     if 2 * bound - 1 > node_budget and 2 * sum(
             mult << 2 * bisect_left(cup.arcs, (a,)) - a + 1
             for cup, mult in expansion.items()) - 1 > node_budget:
@@ -292,15 +287,15 @@ def expand(rows, node_budget: int) -> dict[tuple, dict]:
     ``rows`` gives, for k = 1, 2, ..., the sequences a_1, ..., a_k to
     expand, each a sequence of the row before plus a_k, which
     ``insert_level`` inserts as the arc (a_k, 2k); the root is
-    ``{_EMPTY: 1}``.  When a tree exceeds ``node_budget``, raises
+    ``{_cup(()): 1}``.  When a tree exceeds ``node_budget``, raises
     ``SizeLimitError`` and drops what the call added to both tables: a miss
-    only adds keys and a dict keeps insertion order, so they are the last
-    entries of each, and no entry left holds a diagram that was dropped.
+    (the empty cup too) only adds keys and a dict keeps insertion order, so
+    they are the last entries of each, and no entry left holds a dropped diagram.
     """
     if node_budget < 1:  # every tree has its root
         raise SizeLimitError("resolution exceeded its node budget")
-    levels = {(): {_EMPTY: 1}}
     before, cups_before = len(_INSERTED), len(_CUPS)
+    levels = {(): {_cup(()): 1}}
     try:
         for row in rows:
             levels = {seq: insert_level(levels[seq[:-1]], seq[-1], node_budget)
@@ -337,8 +332,8 @@ def resolve_full(
     The result is the last level of ``expand`` on the peeled left ends, as
     it stands: a new dict on each call, in an unspecified order (a caller
     that shows one sorts it), whose keys are the session's read-only
-    diagrams in ``_CUPS``, shared between calls (``_EMPTY`` for the empty
-    matching).  Raises ``SizeLimitError`` when the resolution tree has more
+    diagrams in ``_CUPS``, shared between calls, the empty matching's
+    too.  Raises ``SizeLimitError`` when the resolution tree has more
     than ``node_budget`` nodes, that is 2 * (sum of multiplicities) - 1, and
     leaves both session tables as it found them.  The tree size, like the
     sinks, is the same for every resolution strategy.
@@ -377,7 +372,7 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
             )
     n2 = 2 * t.n
     cur = _partners(t.columns(), n2)
-    target = _partners(cup_of_tableau(s).arcs, n2)
+    target = _cup_partners(s.top, n2)
     live = list(range(1, n2 + 1))
     moves: list[Move] = []
     level = 0
@@ -460,7 +455,7 @@ def check_witness(
                 cur[a], cur[d], cur[b], cur[c] = d, a, c, b
     except (AttributeError, TypeError, ValueError):  # not a move, or arcs not pairs
         return False
-    return cur == _partners(cup_of_tableau(s).arcs, 2 * s.n)
+    return cur == _cup_partners(s.top, 2 * s.n)
 
 
 def resolution_graph_dot(graph: ResolutionGraph) -> str:

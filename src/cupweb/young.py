@@ -106,9 +106,7 @@ def t0(n: int) -> StandardTableau:
     """The minimum tableau: 1..2n written down successive columns."""
     if n < 1:
         raise ValueError("n must be positive")
-    return StandardTableau(
-        tuple(range(1, 2 * n, 2)), tuple(range(2, 2 * n + 1, 2))
-    )
+    return StandardTableau._trusted(tuple(range(1, 2 * n, 2)), tuple(range(2, 2 * n + 1, 2)))
 
 
 def _check_limit(n: int, max_n: int) -> None:

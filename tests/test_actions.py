@@ -432,6 +432,11 @@ class TestActPolytabloid:
         assert once == unit(StandardTableau((1, 2), (3, 4)))
         assert act_polytabloid(2, once) == v
 
+    @pytest.mark.parametrize("i", [0, 8])
+    def test_index_range(self, i):
+        with pytest.raises(ValueError, match=f"generator index {i} out of range for n=4"):
+            act_polytabloid(i, unit(T_FOUR))
+
     def test_rejects_nonstandard_keys(self):
         v = TabloidVector.unit(TwoRowTableau(((1, 4), (2, 3))))
         with pytest.raises(ValueError):

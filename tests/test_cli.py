@@ -52,6 +52,12 @@ class TestEnumerate:
             main(["enumerate", "-n", "0"])
         assert info.value.code == 2
 
+    def test_non_integer_rejected(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["enumerate", "-n", "abc"])
+        assert info.value.code == 2
+        assert "'abc' is not an integer" in capsys.readouterr().err
+
     def test_over_limit_rejected(self, capsys):
         code, _, err = run(capsys, "enumerate", "-n", "9")
         assert code == 2
@@ -393,6 +399,10 @@ class TestRender:
         code, _, _ = run(capsys, "render", '{"arcs": [[1,2]]}',
                          "--format", "dot")
         assert code == 2
+
+    def test_tableau_graph_renders_only_as_dot(self, capsys):
+        code, out, err = run(capsys, "render", '{"tableau_graph": 3}', "--format", "ascii")
+        assert (code, out, err) == (2, "", "error: tableau graphs render as dot\n")
 
 
 class TestMalformedShapes:

@@ -110,6 +110,10 @@ class TestMatching:
         with pytest.raises(ValueError, match="not an integer"):
             Matching.from_json({"arcs": [[1, 3], [2, 4]], "n2": n2})
 
+    def test_json_refuses_an_n2_other_than_the_dot_count(self):
+        with pytest.raises(ValueError, match="n2 field disagrees with the arc list"):
+            Matching.from_json({"n2": 6, "arcs": [[1, 2], [3, 4]]})
+
     def test_cup_diagram_rejects_crossing(self):
         with pytest.raises(ValueError):
             CupDiagram([(1, 3), (2, 4)])

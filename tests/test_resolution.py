@@ -224,6 +224,8 @@ class TestResolveFull:
     def test_bad_strategy(self):
         with pytest.raises(ValueError):
             build_resolution_graph(Matching([(1, 3), (2, 4)]), "fastest")
+        with pytest.raises(ValueError, match="strategy returned a non-crossing"):
+            build_resolution_graph(Matching([(1, 3), (2, 4)]), lambda m, found: None)
 
     def test_node_budget_counts_tree_nodes(self):
         # 16 sinks with multiplicity, so every strategy's tree has 31 nodes;
@@ -578,9 +580,10 @@ class TestInsertionResolution:
             resolve_full(m)
         # C_{k-1} cups of k - 1 arcs times 2k - 1 positions, for k <= 5
         assert len(table) <= 1 + 3 + 10 + 35 + 126
-        # one diagram per cup of 1 to 5 arcs, each a sink kept in the table
-        assert len(cups) <= 1 + 2 + 5 + 14 + 42
-        assert set(cups) <= {sink.arcs for sinks in table.values() for sink in sinks}
+        # one diagram per cup of 0 to 5 arcs: the root, and each a sink kept
+        # in the table
+        assert len(cups) <= 1 + 1 + 2 + 5 + 14 + 42
+        assert set(cups) <= {sink.arcs for sinks in table.values() for sink in sinks} | {()}
         before, cups_before = dict(table), dict(cups)
         for m in _all_matchings(5):
             resolve_full(m)
@@ -594,8 +597,9 @@ class TestInsertionResolution:
             resolve_full(Matching(arcs))
         assert len(table) <= 1 + 3 + 10 + 35 + 126 + 462
         # one diagram per sink, the C_6 cups of 12 dots, and one per key cup
-        # of each level below: exactly C_k diagrams of 2k dots for k <= 6
-        catalan = {1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
+        # of each level below, the root too: exactly C_k diagrams of 2k dots
+        # for k <= 6, 197 in all
+        catalan = {0: 1, 1: 1, 2: 2, 3: 5, 4: 14, 5: 42, 6: 132}
         for k, c_k in catalan.items():
             assert sum(len(arcs) == k for arcs in cups) == c_k
         assert len(cups) == sum(catalan.values())
@@ -611,10 +615,8 @@ class TestInsertionResolution:
         else:
             for m in _all_matchings(5):
                 resolve_full(m)
-        empty = resolution_module._EMPTY
-        assert empty.arcs not in cups
         for (cup, _), sinks in table.items():
-            assert cup is (empty if not cup.arcs else cups[cup.arcs])
+            assert cup is cups[cup.arcs]
             assert all(cups[w.arcs] is w for w in sinks)
 
     def test_equal_sinks_are_one_object(self):

@@ -59,6 +59,13 @@ class TestStandardTableau:
     def test_t0(self):
         assert t0(2) == StandardTableau((1, 3), (2, 4))
         assert t0(4).columns() == ((1, 2), (3, 4), (5, 6), (7, 8))
+        with pytest.raises(ValueError, match="n must be positive"):
+            t0(0)
+
+    def test_row_of(self):
+        assert [T_FOUR.row_of(e) for e in range(1, 9)] == [0, 0, 1, 0, 1, 1, 0, 1]
+        with pytest.raises(ValueError, match="entry 9 not in tableau"):
+            T_FOUR.row_of(9)
 
     def test_rows_built_from_lists_are_tuples(self):
         listed = StandardTableau([1, 2], [3, 4])
@@ -333,6 +340,10 @@ class TestDominance:
         flat = StandardTableau((1, 2), (3, 4))
         assert first_row_dominates(t0(2), flat)
         assert not first_row_dominates(flat, t0(2))
+
+    def test_different_n_raises(self):
+        with pytest.raises(ValueError, match="tableaux must have the same n"):
+            first_row_dominates(t0(2), t0(3))
 
 
 class TestPaths:
