@@ -6,7 +6,9 @@ then lexicographic top row).  Column T holds the cup-diagram expansion of
 the column matching of T, so entry[S][T] counts how often the cup diagram
 of S appears as a sink when that matching is resolved.
 
-The matrix is built by one-arc insertion.  The last column of T is
+Each column is stored as a ``Column``: its rows in one sorted array, its
+entries in another, of the narrowest type that holds every entry of the
+matrix.  The matrix is built by one-arc insertion.  The last column of T is
 (a, 2n), a the largest top entry; dropping it and lowering the entries
 above a by one leaves a tableau T' of shape (n-1, n-1).  Column T of M_n
 is the sum of M_{n-1}[c', T'] times the expansion of c' with (a, 2n)
@@ -19,15 +21,17 @@ from __future__ import annotations
 import sys
 import time
 from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from datetime import datetime, timezone
 from functools import reduce
-from operator import and_
-from types import MappingProxyType
+from itertools import compress, islice
+from operator import and_, lt
 
-from ._value import Value
+from ._value import Value, _read_only
 from .actions import DEFAULT_STEP_BUDGET, _straighten
 from .diagrams import cup_of_tableau
-from .resolution import DEFAULT_NODE_BUDGET, expand
+from .resolution import DEFAULT_NODE_BUDGET, _cup, expand
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
@@ -39,23 +43,161 @@ from .young import (
 ORDER_DESCRIPTION = "rank, then lexicographic top row"
 
 
+_set = object.__setattr__
+
+
+class Column(Mapping):
+    """One column of a ``TransitionMatrix``, read-only: ``{row: entry}`` in row order.
+
+    ``_rows`` is a sorted array of distinct rows and ``_vals`` holds the
+    entries in the same order: an array, or a tuple of ints when some entry
+    of the matrix needs more than 64 bits.  Lookups bisect ``_rows``;
+    iteration is in row order, and ``items`` and ``values`` are iterators.
+    A column equals a dict of the same items, a stored 0 among them.
+    """
+
+    __slots__ = ("_rows", "_vals")
+
+    def __init__(self, rows, vals):
+        _set(self, "_rows", rows)
+        _set(self, "_vals", vals)
+
+    __setattr__ = __delattr__ = _read_only
+
+    def __reduce__(self):
+        return Column, (self._rows, self._vals)
+
+    def _find(self, s) -> int:
+        """The position of row ``s``, or -1."""
+        rows = self._rows
+        try:
+            k = bisect_left(rows, s)
+        except TypeError:  # not a number: no row
+            return -1
+        return k if k < len(rows) and rows[k] == s else -1
+
+    def __getitem__(self, s):
+        k = self._find(s)
+        if k < 0:
+            raise KeyError(s)
+        return self._vals[k]
+
+    def get(self, s, default=None):
+        k = self._find(s)
+        return default if k < 0 else self._vals[k]
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def values(self):
+        return iter(self._vals)
+
+    def items(self):
+        return zip(self._rows, self._vals)
+
+    def __repr__(self) -> str:
+        return f"Column({dict(self.items())!r})"
+
+
+def _narrowest(codes: str, lo: int, hi: int) -> str | None:
+    """The first of the array type ``codes`` whose items hold lo..hi, or None."""
+    for code in codes:
+        bits = 8 * array(code).itemsize
+        low = -(1 << bits - 1) if code.islower() else 0
+        if low <= lo and hi < low + (1 << bits):
+            return code
+    return None
+
+
+def _codes(size: int, lo: int, hi: int) -> tuple[str, str | None]:
+    """Type codes of the rows of a matrix of ``size`` rows and of its entries in lo..hi.
+
+    Rows are ``H`` up to 65,536 rows; entries the narrowest of ``b``, ``h``,
+    ``i`` and ``q``, or None past 64 bits: a tuple of ints.
+    """
+    return _narrowest("HIQ", 0, max(size - 1, 0)), _narrowest("bhiq", lo, hi)
+
+
+def _compact(col, codes: tuple[str, str | None]) -> Column:
+    """``col``, a dict of int rows or a ``Column``, stored in the type ``codes``.
+
+    A ``Column`` already stored so is ``col`` itself: its arrays never change.
+    """
+    if type(col) is Column:
+        rows, vals = col._rows, col._vals
+        if rows.typecode == codes[0] and getattr(vals, "typecode", None) == codes[1]:
+            return col
+    else:
+        rows = sorted(col)
+        vals = list(map(col.__getitem__, rows))
+    return Column(array(codes[0], rows), array(codes[1], vals) if codes[1] else tuple(vals))
+
+
+def _span(entries) -> tuple[int, int]:
+    """The least and the greatest item in the sequences ``entries``.
+
+    0, 0 when every sequence is empty.
+    """
+    entries = [e for e in entries if e]
+    return (min(map(min, entries), default=0), max(map(max, entries), default=0))
+
+
+def _column_fault(col, size: int) -> str | None:
+    """Why ``col``, a ``Column`` or a dict, is not int rows in range(size) to ints, or None.
+
+    A ``Column`` is read by its arrays: unsigned rows, strictly rising, one
+    per entry, and entries in an integer array or a tuple of ints.
+    """
+    if type(col) is not Column:
+        for s, e in col.items():
+            if type(s) is not int or not 0 <= s < size:
+                return f"row {s!r} is not an int in range({size})"
+            if type(e) is not int:  # not isinstance: True is an int
+                return f"entry {e!r} at row {s} is not an integer"
+        return None
+    rows, vals = col._rows, col._vals
+    if not (type(rows) is array and rows.typecode in "BHILQ" and len(rows) == len(vals)
+            and all(map(lt, rows, islice(rows, 1, None)))):
+        return "a Column's rows must be an unsigned array, rising, one per entry"
+    if rows and rows[-1] >= size:
+        return f"row {rows[bisect_left(rows, size)]} is not an int in range({size})"
+    if not (type(vals) is array and vals.typecode in "bBhHiIlLqQ"
+            or type(vals) is tuple and all(type(e) is int for e in vals)):
+        return "a Column's entries must be an integer array or a tuple of ints"
+    return None
+
+
 class TransitionMatrix(Value):
     """Exact integer matrix M[S][T] over the canonical tableau order.
 
-    ``columns[t]`` is ``{s: M[s][t]}`` over the nonzero entries of column t;
-    an absent or stored-0 row is a zero.  Only ``entries`` and the exports
-    build dense rows, afresh on each call.  Columns are stored read-only,
-    as ``MappingProxyType``s of copies of the mappings given; ``_trusted``
-    takes the proxies of dicts that no one else holds.
+    ``columns[t]`` is a ``Column``, ``{s: M[s][t]}`` over the nonzero entries
+    of column t; an absent or stored-0 row is a zero, and ``entry`` bisects
+    the column's rows.  Only ``entries`` and the exports build dense rows,
+    afresh on each call.  The constructor takes one mapping per index entry,
+    of int rows in ``range(len(index))`` to ints that are not bools, and
+    raises ``ValueError`` at the first column that is not; it stores copies,
+    but shares a ``Column`` whose arrays already have the matrix's types.
     """
 
     __slots__ = _fields = ("n", "index", "columns")
 
     def __init__(self, n: int, index: tuple[StandardTableau, ...], columns):
-        super().__init__(n, index, tuple(MappingProxyType(dict(col)) for col in columns))
-
-    def __reduce__(self):  # a tuple of proxies can be neither copied nor pickled
-        return type(self), (self.n, self.index, tuple(map(dict, self.columns)))
+        size, columns = len(index), tuple(columns)
+        if len(columns) != size:
+            t = min(len(columns), size)
+            raise ValueError(f"column {t} is {'missing' if t < size else 'extra'}: "
+                             f"one column per index entry ({size}), got {len(columns)}")
+        given = [col if type(col) is Column else dict(col) for col in columns]
+        for t, col in enumerate(given):
+            fault = _column_fault(col, size)
+            if fault:
+                raise ValueError(f"column {t}: {fault}")
+        codes = _codes(size, *_span(
+            col._vals if type(col) is Column else col.values() for col in given))
+        super().__init__(n, index, tuple(_compact(col, codes) for col in given))
 
     @property
     def size(self) -> int:
@@ -150,18 +292,20 @@ def transition_matrix(n: int) -> TransitionMatrix:
     lifted over a (entries >= a raised by one) plus the arc (a, 2k).  The
     column matching of T peels to its top row, so the columns are
     ``expand`` run on every k's top rows, in the session tables that
-    ``resolve_full`` uses, and keyed on their diagrams until the rows are
-    read off by the arcs of ``cup_of_tableau``.  A column whose resolution
-    tree, 2 * (column sum) - 1 nodes, exceeds ``DEFAULT_NODE_BUDGET``
-    raises ``SizeLimitError`` and leaves both tables as it found them.
+    ``resolve_full`` uses.  Each is keyed on the session's diagrams, so its
+    rows are read off by identity, through the diagram of each index cup,
+    and then stored as a ``Column``, its dict dropped.  A column whose
+    resolution tree, 2 * (column sum) - 1 nodes, exceeds
+    ``DEFAULT_NODE_BUDGET`` raises ``SizeLimitError`` and leaves both
+    tables as it found them.
     """
     columns = expand(((t.top for t in enumerate_syt(k, max_n=n))
                       for k in range(1, n + 1)), DEFAULT_NODE_BUDGET)
     index = enumerate_syt(n, max_n=n)
-    row_of = {cup_of_tableau(t).arcs: k for k, t in enumerate(index)}
+    row_of = {_cup(cup_of_tableau(t).arcs): k for k, t in enumerate(index)}
+    codes = _codes(len(index), 1, max(max(col.values()) for col in columns.values()))
     return TransitionMatrix._trusted(n, index, tuple(
-        MappingProxyType({row_of[w.arcs]: mult
-                          for w, mult in columns.pop(t.top).items()})
+        _compact({row_of[w]: mult for w, mult in columns.pop(t.top).items()}, codes)
         for t in index))
 
 
@@ -183,9 +327,8 @@ def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
     rows = [bytearray((matrix.size + 7) >> 3) for _ in matrix.index]
     for t, col in enumerate(matrix.columns):
         byte, bit = t >> 3, 1 << (t & 7)
-        for s, e in col.items():
-            if keep(e):
-                rows[s][byte] |= bit
+        for s in compress(col._rows, map(keep, col._vals)):
+            rows[s][byte] |= bit
     return [int.from_bytes(row, "little") for row in rows]
 
 
@@ -244,12 +387,12 @@ def _unitriangular_fault(matrix: TransitionMatrix) -> str | None:
     """Why ``matrix`` is not unitriangular, at its first bad column, or None.
 
     Column by column: a diagonal entry other than 1, or else a nonzero
-    entry below the diagonal.
+    entry below the diagonal, past row t in the sorted rows.
     """
     for t, col in enumerate(matrix.columns):
         if col.get(t, 0) != 1:
             return "matrix diagonal must be all ones"
-        if any(e for s, e in col.items() if s > t):
+        if any(col._vals[bisect_right(col._rows, t):]):
             return "matrix must be upper-triangular"
     return None
 
@@ -265,7 +408,7 @@ def _field_int(fields: array) -> int:
     return int.from_bytes(fields, sys.byteorder)
 
 
-def _packed(column: dict[int, int], width: int) -> int:
+def _packed(column: Mapping[int, int], width: int) -> int:
     """Sum of ``e << (s * width)`` over ``column``'s ``{s: e}``.
 
     ``width`` is a multiple of 8, and every s >= 0 and |e| < 2 ** width.
@@ -328,8 +471,8 @@ def _checked_psi(matrix: TransitionMatrix, step_budget: int):
         for c, coeff in vec.items():
             if coeff:
                 psi[c][row] = coeff
-    entry_max = max((max(map(abs, col.values()), default=0)
-                     for col in matrix.columns), default=0)
+    lo, hi = _span(col._vals for col in matrix.columns)
+    entry_max = max(-lo, hi)
     norm_max = max((sum(map(abs, vec.values())) for vec in psi), default=1)
     width = _field_width(entry_max * norm_max)
     packed = [_packed(col, width) for col in matrix.columns]
@@ -359,8 +502,9 @@ def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
     if len(inverse) < matrix.size:
         raise ValueError("the straightened cups do not invert the matrix: "
                          f"web of {matrix.index[len(inverse)].row_word()}")
+    codes = _codes(matrix.size, *_span(col.values() for col in inverse))
     return TransitionMatrix._trusted(matrix.n, matrix.index,
-                                     tuple(map(MappingProxyType, inverse)))
+                                     tuple(_compact(col, codes) for col in inverse))
 
 
 def verify_psi(

@@ -75,7 +75,7 @@ EXAMPLES = {
     "TransitionMatrix": (
         lambda: transition_matrix(2), ("n", "index", "columns"),
         "TransitionMatrix(n=2, index=(StandardTableau('1 3 / 2 4'), StandardTableau("
-        "'1 2 / 3 4')), columns=(mappingproxy({0: 1}), mappingproxy({0: 1, 1: 1})))",
+        "'1 2 / 3 4')), columns=(Column({0: 1}), Column({0: 1, 1: 1})))",
         None),
     "Check": (
         lambda: Check("diagonal-ones", True),
