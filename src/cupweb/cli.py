@@ -8,7 +8,7 @@ CUPWEB_OUTPUT_DIR environment variable prefixes relative output paths.
 Each ``cmd_*`` returns its document and exit code; ``main`` hands the
 document to ``_emit``, the one writer.  Text formats are a ``str``; JSON is
 encoded into the stream as it is written, so ``matrix -n 8 --format json``
-peaks at 66 MB for an 18.8 MB file.
+never holds its 18.8 MB of text in memory.
 ``resolve`` prints its sinks sorted: ``resolve_full`` leaves their order open.
 """
 
@@ -47,6 +47,7 @@ from .young import (
     StandardTableau,
     TableauGraph,
     build_tableau_graph,
+    enumerate_syt,
     rank,
 )
 
@@ -129,15 +130,14 @@ def tableau_graph_json(graph: TableauGraph) -> dict:
 
 
 def cmd_enumerate(args):
-    graph = build_tableau_graph(args.n, _effective_max_n(args))
     records = [
         {
             "top": list(t.top),
             "bottom": list(t.bottom),
-            "rank": rank(t, graph),
+            "rank": rank(t),
             "word": t.row_word(),
         }
-        for t in graph.vertices
+        for t in enumerate_syt(args.n, _effective_max_n(args))
     ]
     if args.format == "json":
         return records, 0

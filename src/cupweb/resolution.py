@@ -55,7 +55,7 @@ import enum
 from bisect import bisect_left, bisect_right, insort
 from collections import deque
 from operator import itemgetter
-from typing import Callable, Sequence, Union
+from typing import Sequence, Union
 
 from ._value import Value
 from .diagrams import (
@@ -67,7 +67,7 @@ from .diagrams import (
     crossings,
 )
 from .errors import DominanceError, SizeLimitError
-from .young import StandardTableau
+from .young import StandardTableau, _first_undominated
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -111,7 +111,7 @@ class Move(Value):
         return cls(Crossing(tuple(arcs[0]), tuple(arcs[1])), kind)
 
 
-Strategy = Union[str, Sequence[int], Callable[[Matching, list[Crossing]], Crossing]]
+Strategy = Union[str, Sequence[int]]
 
 
 def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
@@ -127,20 +127,6 @@ def resolve_step(m: Matching, crossing: Crossing, kind: MoveKind) -> Matching:
     rest += [(a, b), (c, d)] if kind is MoveKind.VV else [(a, d), (b, c)]
     # Two crossing arcs of m, smoothed: the same dots, so a valid matching.
     return Matching._trusted(tuple(sorted(rest)))
-
-
-def _pick(strategy: Strategy, m: Matching, found: list[Crossing],
-          counter: int) -> Crossing:
-    if strategy == "first":
-        return found[0]
-    if callable(strategy):
-        choice = strategy(m, found)
-        if choice not in found:
-            raise ValueError("strategy returned a non-crossing")
-        return choice
-    if isinstance(strategy, str) or not strategy:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return found[strategy[counter % len(strategy)] % len(found)]
 
 
 class ResolutionGraph(Value):
@@ -175,11 +161,19 @@ def build_resolution_graph(
 ) -> ResolutionGraph:
     """Expand ``m`` by both moves on one strategy-chosen crossing per node.
 
+    ``strategy`` is ``"first"`` or a nonempty sequence of ints: the nodes
+    expanded in turn resolve crossing i, j, ... of their sorted crossings,
+    the sequence repeating and each index taken modulo the crossing count.
     The tree has 2 * (sum of multiplicities) - 1 nodes for every strategy,
     so ``resolve_full`` sizes it first: a tree of more than ``node_budget``
-    nodes raises its ``SizeLimitError`` before any node is built.
+    nodes raises its ``SizeLimitError`` before any node is built.  Then any
+    other strategy raises ``ValueError``.
     """
     resolve_full(m, node_budget)
+    if strategy != "first" and (
+            isinstance(strategy, str) or not isinstance(strategy, Sequence) or not strategy
+            or not all(type(k) is int for k in strategy)):
+        raise ValueError(f"unknown strategy {strategy!r}")
     nodes = [m]
     edges: list[tuple[int, Move, int]] = []
     queue = deque([0])
@@ -189,7 +183,8 @@ def build_resolution_graph(
         found = crossings(nodes[k])
         if not found:
             continue
-        chosen = _pick(strategy, nodes[k], found, expansions)
+        chosen = (found[0] if strategy == "first"
+                  else found[strategy[expansions % len(strategy)] % len(found)])
         expansions += 1
         for kind in (MoveKind.VV, MoveKind.NESTED):
             nodes.append(resolve_step(nodes[k], chosen, kind))
@@ -361,15 +356,13 @@ def witness_path(t: StandardTableau, s: StandardTableau) -> list[Move]:
     target cup are partner arrays and the live dots a sorted list, so a
     move is read off the arrays and applied by rewiring four entries.
     """
-    if t.n != s.n:
-        raise ValueError("tableaux must have the same n")
-    for j, (a, b) in enumerate(zip(s.top, t.top)):
-        if a < b:
-            raise DominanceError(
-                j + 1,
-                f"top row of S must dominate top row of T; "
-                f"column {j + 1} has {a} < {b}",
-            )
+    j = _first_undominated(s, t)
+    if j is not None:
+        raise DominanceError(
+            j + 1,
+            f"top row of S must dominate top row of T; "
+            f"column {j + 1} has {s.top[j]} < {t.top[j]}",
+        )
     n2 = 2 * t.n
     cur = _partners(t.columns(), n2)
     target = _cup_partners(s.top, n2)

@@ -24,9 +24,8 @@ from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
 from datetime import datetime, timezone
-from functools import reduce
 from itertools import compress, islice
-from operator import and_, lt
+from operator import lt
 
 from ._value import Value, _read_only
 from .actions import DEFAULT_STEP_BUDGET, _straighten
@@ -35,6 +34,7 @@ from .resolution import DEFAULT_NODE_BUDGET, _cup, expand
 from .young import (
     DEFAULT_MAX_N,
     StandardTableau,
+    _dominance_masks,
     build_tableau_graph,
     cached_on_n,
     enumerate_syt,
@@ -176,15 +176,23 @@ class TransitionMatrix(Value):
     ``columns[t]`` is a ``Column``, ``{s: M[s][t]}`` over the nonzero entries
     of column t; an absent or stored-0 row is a zero, and ``entry`` bisects
     the column's rows.  Only ``entries`` and the exports build dense rows,
-    afresh on each call.  The constructor takes one mapping per index entry,
-    of int rows in ``range(len(index))`` to ints that are not bools, and
-    raises ``ValueError`` at the first column that is not; it stores copies,
-    but shares a ``Column`` whose arrays already have the matrix's types.
+    afresh on each call.  The constructor takes an index of distinct
+    ``StandardTableau``s of ``n`` and one mapping per index entry, of int
+    rows in ``range(len(index))`` to ints that are not bools, and raises
+    ``ValueError`` at the first index entry or column that is not; it stores
+    copies, but shares a ``Column`` whose arrays already have the matrix's
+    types.
     """
 
     __slots__ = _fields = ("n", "index", "columns")
 
     def __init__(self, n: int, index: tuple[StandardTableau, ...], columns):
+        seen: dict[StandardTableau, int] = {}
+        for k, t in enumerate(index):
+            if not isinstance(t, StandardTableau) or t.n != n:
+                raise ValueError(f"index entry {k}: {t!r} is not a StandardTableau of n={n}")
+            if seen.setdefault(t, k) != k:
+                raise ValueError(f"index entry {k}: {t!r} repeats entry {seen[t]}")
         size, columns = len(index), tuple(columns)
         if len(columns) != size:
             t = min(len(columns), size)
@@ -330,20 +338,6 @@ def _row_masks(matrix: TransitionMatrix, keep) -> list[int]:
         for s in compress(col._rows, map(keep, col._vals)):
             rows[s][byte] |= bit
     return [int.from_bytes(row, "little") for row in rows]
-
-
-def _dominance_masks(vertices: tuple[StandardTableau, ...]) -> list[int]:
-    """Bit t of the s-th mask is set when ``s.top[j] >= t.top[j]`` for all j."""
-    n = vertices[0].n if vertices else 0
-    at_most = [[0] * (2 * n + 1) for _ in range(n)]  # [j][v]: top[j] == v, then <= v
-    for t, tab in enumerate(vertices):
-        for j, v in enumerate(tab.top):
-            at_most[j][v] |= 1 << t
-    for masks in at_most:
-        for v in range(1, 2 * n + 1):
-            masks[v] |= masks[v - 1]
-    return [reduce(and_, (at_most[j][v] for j, v in enumerate(tab.top)))
-            for tab in vertices]
 
 
 def _pair_words(index: tuple[StandardTableau, ...], pair) -> str | None:

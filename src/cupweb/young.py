@@ -5,14 +5,16 @@ A tableau here always has shape (n, n) and entries 1..2n, increasing along
 rows and columns.  The distinguished tableau ``t0(n)`` places 1..2n down
 successive columns.  Swapping i and i+1 when i sits in the bottom row and
 i+1 in the top row yields another standard tableau; these swaps are the
-edges of the tableau graph, and reachability is the partial order.  All
-values are immutable and all functions are pure.
+edges of the tableau graph, and reachability is the partial order.  It
+equals top-row dominance, written here once for a pair and once as masks
+over all pairs.  All values are immutable and all functions are pure.
 """
 
 from __future__ import annotations
 
-import enum
-from functools import lru_cache, wraps
+from functools import lru_cache, reduce, wraps
+from itertools import compress, count
+from operator import and_, lt
 from types import MappingProxyType
 
 from ._value import Value
@@ -20,21 +22,6 @@ from .errors import SizeLimitError
 
 #: Enumeration and graph construction refuse larger n unless told otherwise.
 DEFAULT_MAX_N = 8
-
-
-class EntryCase(enum.Enum):
-    """Relative placement of i and i+1 inside a standard tableau.
-
-    BELOW means i is in the bottom row and i+1 in the top row.  SAME_ROW
-    also covers the mirror of BELOW (i in the top row, i+1 in the bottom
-    row, different columns): there, as for a literal same-row pair,
-    swapping the entries is resolved by straightening, which is a plain
-    relabelling when the swapped filling happens to be standard.
-    """
-
-    SAME_ROW = "same-row"
-    SAME_COLUMN = "same-column"
-    BELOW = "below"
 
 
 def is_permutation(values) -> bool:
@@ -76,14 +63,6 @@ class StandardTableau(Value):
         return "{} / {}".format(
             " ".join(map(str, self.top)), " ".join(map(str, self.bottom))
         )
-
-    def row_of(self, entry: int) -> int:
-        """0 for the top row, 1 for the bottom row."""
-        if entry in self.top:
-            return 0
-        if entry in self.bottom:
-            return 1
-        raise ValueError(f"entry {entry} not in tableau")
 
     def to_json(self) -> dict:
         return {"top": list(self.top), "bottom": list(self.bottom)}
@@ -139,9 +118,12 @@ def cached_on_n(build):
     return call
 
 
-def _rank(tableau: StandardTableau) -> int:
-    # Every graph edge puts i in place of i+1 in the top row, lowering its
-    # sum by one, and the top row 1, 3, ..., 2n-1 of t0 sums to n**2.
+def rank(tableau: StandardTableau) -> int:
+    """Number of edges on any directed path from ``t0`` to ``tableau``.
+
+    Every graph edge puts i in place of i+1 in the top row, lowering its
+    sum by one, and the top row 1, 3, ..., 2n-1 of t0 sums to n**2.
+    """
     return tableau.n**2 - sum(tableau.top)
 
 
@@ -164,34 +146,8 @@ def enumerate_syt(n: int) -> tuple[StandardTableau, ...]:
         StandardTableau._trusted(top, tuple(x for x in entries if x not in top))
         for top in tops
     ]
-    tableaux.sort(key=lambda s: (_rank(s), s.top))
+    tableaux.sort(key=lambda s: (rank(s), s.top))
     return tuple(tableaux)
-
-
-def classify(tableau: StandardTableau, i: int) -> EntryCase:
-    """Which of the three action cases applies to i and i+1 in ``tableau``."""
-    if not 1 <= i <= 2 * tableau.n - 1:
-        raise ValueError(f"generator index {i} out of range for n={tableau.n}")
-    row_i = tableau.row_of(i)
-    row_j = tableau.row_of(i + 1)
-    if row_i == row_j:
-        return EntryCase.SAME_ROW
-    if row_i == 0 and tableau.bottom[tableau.top.index(i)] == i + 1:
-        return EntryCase.SAME_COLUMN
-    if row_i == 1:
-        return EntryCase.BELOW
-    # i in the top row, i+1 in the bottom row of an earlier column: the
-    # swapped filling is standard again, so it behaves like the row case.
-    return EntryCase.SAME_ROW
-
-
-def swap_entries(tableau: StandardTableau, i: int) -> StandardTableau:
-    """Exchange the entries i and i+1.  Raises unless the result is standard."""
-    top = tuple(i + 1 if x == i else i if x == i + 1 else x for x in tableau.top)
-    bottom = tuple(
-        i + 1 if x == i else i if x == i + 1 else x for x in tableau.bottom
-    )
-    return StandardTableau(top, bottom)
 
 
 class TableauGraph(Value):
@@ -214,7 +170,7 @@ class TableauGraph(Value):
         # vertex k.  An edge raises the rank by one, so taking edges by
         # falling source rank completes every target before its sources.
         desc = [1 << k for k in range(len(vertices))]
-        for src, dst, _ in sorted(edges, key=lambda e: -_rank(vertices[e[0]])):
+        for src, dst, _ in sorted(edges, key=lambda e: -rank(vertices[e[0]])):
             desc[src] |= desc[dst]
         super().__init__(n, vertices, edges,
                          MappingProxyType({v: k for k, v in enumerate(vertices)}),
@@ -247,48 +203,27 @@ def leq(s: StandardTableau, t: StandardTableau, graph: TableauGraph) -> bool:
     return bool(graph.descendants[graph.position(s)] >> graph.position(t) & 1)
 
 
-def rank(tableau: StandardTableau, graph: TableauGraph) -> int:
-    """Number of edges on any directed path from ``t0`` to ``tableau``."""
-    return _rank(graph.vertices[graph.position(tableau)])
+def _first_undominated(s: StandardTableau, t: StandardTableau) -> int | None:
+    """The first column j with ``s.top[j] < t.top[j]``, or None."""
+    if s.n != t.n:
+        raise ValueError("tableaux must have the same n")
+    return next(compress(count(), map(lt, s.top, t.top)), None)
 
 
 def first_row_dominates(s: StandardTableau, t: StandardTableau) -> bool:
     """Componentwise ``s.top[j] >= t.top[j]``."""
-    if s.n != t.n:
-        raise ValueError("tableaux must have the same n")
-    return all(a >= b for a, b in zip(s.top, t.top))
+    return _first_undominated(s, t) is None
 
 
-def paths_between(graph: TableauGraph, src: StandardTableau,
-                  dst: StandardTableau, limit: int | None = None
-                  ) -> list[list[int]]:
-    """Edge-label sequences of directed paths src -> dst, in DFS order.
-
-    Stops after ``limit`` paths when given; a negative limit raises
-    ``ValueError``.  Labels are listed in the order the edges are traversed.
-    """
-    if limit is not None and limit < 0:
-        raise ValueError(f"limit must be nonnegative, got {limit}")
-    if limit == 0:
-        return []
-    start, goal = graph.position(src), graph.position(dst)
-    out_edges: list[list[tuple[int, int]]] = [[] for _ in graph.vertices]
-    for a, b, i in graph.edges:
-        out_edges[a].append((b, i))
-    found: list[list[int]] = []
-
-    def walk(v: int, labels: list[int]) -> bool:
-        if v == goal:
-            found.append(list(labels))
-            return limit is not None and len(found) >= limit
-        for b, i in out_edges[v]:
-            if not graph.descendants[b] >> goal & 1:
-                continue
-            labels.append(i)
-            if walk(b, labels):
-                return True
-            labels.pop()
-        return False
-
-    walk(start, [])
-    return found
+def _dominance_masks(vertices: tuple[StandardTableau, ...]) -> list[int]:
+    """Bit t of the s-th mask is set when ``s.top[j] >= t.top[j]`` for all j."""
+    n = vertices[0].n if vertices else 0
+    at_most = [[0] * (2 * n + 1) for _ in range(n)]  # [j][v]: top[j] == v, then <= v
+    for t, tab in enumerate(vertices):
+        for j, v in enumerate(tab.top):
+            at_most[j][v] |= 1 << t
+    for masks in at_most:
+        for v in range(1, 2 * n + 1):
+            masks[v] |= masks[v - 1]
+    return [reduce(and_, (at_most[j][v] for j, v in enumerate(tab.top)))
+            for tab in vertices]

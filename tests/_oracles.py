@@ -20,20 +20,28 @@ Two references reuse package code: ``witness_by_matchings`` and
 ``check_by_steps`` build and replay witness scripts on validated
 ``Matching`` objects with ``resolve_step``, the references for the
 partner-array ``witness_path`` and ``check_witness``; a script entry
-that is not a move fails both.  The closed form of ``act_web`` is
+that is not a move fails both, and ``tree_by_picking`` builds a
+resolution tree with any choice of crossing per node, the reference for
+the scripted strategies of ``build_resolution_graph``.  The closed form of ``act_web`` is
 checked against the package's own ``to_web_basis`` of ``act_matching``,
-a full resolution of the swapped matching.
+a full resolution of the swapped matching.  The tableau helpers at the
+end, ``row_of``, ``classify``, ``swap_entries`` and ``paths_between``,
+read a tableau or walk the graph entry by entry, the references for the
+edge rule of ``build_tableau_graph`` and for the path model.
 """
 
+import enum
 from bisect import bisect_left, insort
+from collections import deque
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import permutations
 
 from cupweb.actions import DEFAULT_STEP_BUDGET
-from cupweb.diagrams import Crossing, Matching, column_matching, cup_of_tableau
+from cupweb.diagrams import Crossing, Matching, column_matching, crossings, cup_of_tableau
 from cupweb.errors import DominanceError, SizeLimitError
-from cupweb.resolution import Move, MoveKind, resolve_step
+from cupweb.resolution import Move, MoveKind, ResolutionGraph, resolve_step
+from cupweb.young import StandardTableau
 
 CATALAN = [1, 1, 2, 5, 14, 42, 132, 429, 1430]
 
@@ -325,6 +333,26 @@ def check_by_steps(t, s, script):
         return False
 
 
+def tree_by_picking(m, pick):
+    """The resolution tree of ``m`` that resolves crossing ``pick(found)`` at each node.
+
+    ``found`` is the node's sorted crossings.  Nodes are expanded breadth
+    first, the VV child before the nested one.
+    """
+    nodes, edges, queue = [m], [], deque([0])
+    while queue:
+        k = queue.popleft()
+        found = crossings(nodes[k])
+        if not found:
+            continue
+        chosen = pick(found)
+        for kind in (MoveKind.VV, MoveKind.NESTED):
+            nodes.append(resolve_step(nodes[k], chosen, kind))
+            edges.append((k, Move(chosen, kind), len(nodes) - 1))
+            queue.append(len(nodes) - 1)
+    return ResolutionGraph(m, nodes, edges)
+
+
 def polytabloid_model(columns):
     """Expansion of one filling over row tabloids.
 
@@ -444,3 +472,86 @@ def perm_between(a, b):
         for s, d in zip(src_row, dst_row):
             images[s - 1] = d
     return Permutation(tuple(images))
+
+
+def row_of(tableau, entry):
+    """0 for the top row, 1 for the bottom row."""
+    if entry in tableau.top:
+        return 0
+    if entry in tableau.bottom:
+        return 1
+    raise ValueError(f"entry {entry} not in tableau")
+
+
+class EntryCase(enum.Enum):
+    """Relative placement of i and i+1 inside a standard tableau.
+
+    BELOW means i is in the bottom row and i+1 in the top row.  SAME_ROW
+    also covers the mirror of BELOW (i in the top row, i+1 in the bottom
+    row, different columns): there, as for a literal same-row pair,
+    swapping the entries is resolved by straightening, which is a plain
+    relabelling when the swapped filling happens to be standard.
+    """
+
+    SAME_ROW = "same-row"
+    SAME_COLUMN = "same-column"
+    BELOW = "below"
+
+
+def classify(tableau, i):
+    """Which of the three action cases applies to i and i+1 in ``tableau``."""
+    if not 1 <= i <= 2 * tableau.n - 1:
+        raise ValueError(f"generator index {i} out of range for n={tableau.n}")
+    row_i = row_of(tableau, i)
+    row_j = row_of(tableau, i + 1)
+    if row_i == row_j:
+        return EntryCase.SAME_ROW
+    if row_i == 0 and tableau.bottom[tableau.top.index(i)] == i + 1:
+        return EntryCase.SAME_COLUMN
+    if row_i == 1:
+        return EntryCase.BELOW
+    # i in the top row, i+1 in the bottom row of an earlier column: the
+    # swapped filling is standard again, so it behaves like the row case.
+    return EntryCase.SAME_ROW
+
+
+def swap_entries(tableau, i):
+    """Exchange the entries i and i+1.  Raises unless the result is standard."""
+    top = tuple(i + 1 if x == i else i if x == i + 1 else x for x in tableau.top)
+    bottom = tuple(
+        i + 1 if x == i else i if x == i + 1 else x for x in tableau.bottom
+    )
+    return StandardTableau(top, bottom)
+
+
+def paths_between(graph, src, dst, limit=None):
+    """Edge-label sequences of directed paths src -> dst, in DFS order.
+
+    Stops after ``limit`` paths when given; a negative limit raises
+    ``ValueError``.  Labels are listed in the order the edges are traversed.
+    """
+    if limit is not None and limit < 0:
+        raise ValueError(f"limit must be nonnegative, got {limit}")
+    if limit == 0:
+        return []
+    start, goal = graph.position(src), graph.position(dst)
+    out_edges = [[] for _ in graph.vertices]
+    for a, b, i in graph.edges:
+        out_edges[a].append((b, i))
+    found = []
+
+    def walk(v, labels):
+        if v == goal:
+            found.append(list(labels))
+            return limit is not None and len(found) >= limit
+        for b, i in out_edges[v]:
+            if not graph.descendants[b] >> goal & 1:
+                continue
+            labels.append(i)
+            if walk(b, labels):
+                return True
+            labels.pop()
+        return False
+
+    walk(start, [])
+    return found

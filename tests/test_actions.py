@@ -25,7 +25,6 @@ from cupweb import (
     cup_polytabloid,
     enumerate_syt,
     garnir_straighten,
-    paths_between,
     build_tableau_graph,
     resolve_full,
     shifted_product,
@@ -36,9 +35,12 @@ from cupweb import (
 )
 from cupweb.actions import DEFAULT_STEP_BUDGET, _straighten
 from _oracles import (
+    EntryCase,
     act_model,
     all_pairings,
+    classify,
     model_of_vector,
+    paths_between,
     straighten_by_first_descent,
     straighten_on_columns,
 )
@@ -751,8 +753,6 @@ class TestIntertwining:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_formal_equality_outside_row_case(self, n):
-        from cupweb import EntryCase, classify
-
         for tab in enumerate_syt(n):
             v = unit(tab)
             for i in range(1, 2 * n):

@@ -13,6 +13,7 @@ import pytest
 import cupweb
 from cupweb.cli import main, tableau_graph_json
 from cupweb.resolution import sinks_to_json
+from _oracles import tree_by_picking
 
 WITNESS_T = '{"top": [1, 2, 4, 5, 7], "bottom": [3, 6, 8, 9, 10]}'
 WITNESS_S = '{"top": [1, 3, 4, 6, 9], "bottom": [2, 5, 7, 8, 10]}'
@@ -28,7 +29,7 @@ def run(capsys, *argv):
 def _records(graph):
     """The enumerate command's JSON document, built from the library."""
     return [{"top": list(t.top), "bottom": list(t.bottom),
-             "rank": cupweb.rank(t, graph), "word": t.row_word()}
+             "rank": cupweb.rank(t), "word": t.row_word()}
             for t in graph.vertices]
 
 
@@ -189,8 +190,7 @@ class TestResolve:
     def test_script_index_is_taken_modulo_the_crossing_count(self, capsys, index):
         # FOUR_ARCS has 6 crossings; each node reads the one index modulo its own count.
         m = cupweb.Matching.from_json(json.loads(FOUR_ARCS))
-        picked = cupweb.build_resolution_graph(
-            m, lambda _, found: found[index % len(found)])
+        picked = tree_by_picking(m, lambda found: found[index % len(found)])
         code, out, _ = run(capsys, "resolve", FOUR_ARCS, "--format", "dot",
                            "--strategy", f"scripted:{index}")
         assert (code, out) == (0, cupweb.resolution_graph_dot(picked))

@@ -14,7 +14,13 @@ import tracemalloc
 
 import pytest
 
-from cupweb import TransitionMatrix, inverse_matrix, transition_matrix
+from cupweb import (
+    StandardTableau,
+    TransitionMatrix,
+    inverse_matrix,
+    t0,
+    transition_matrix,
+)
 from cupweb.cli import _corrupted
 import cupweb.transition as transition_module
 from cupweb.transition import Column
@@ -159,7 +165,8 @@ class TestStoredForm:
 
 
 class TestBoundary:
-    """The constructor names the first column that is not ints in range to ints."""
+    """The constructor names the first index entry that is not a distinct tableau
+    of n, and the first column that is not ints in range to ints."""
 
     ONE = transition_matrix(1).index
 
@@ -176,6 +183,20 @@ class TestBoundary:
     def test_bad_columns_raise(self, columns, message):
         with pytest.raises(ValueError, match=re.escape(message)):
             TransitionMatrix(1, self.ONE, columns)
+
+    @pytest.mark.parametrize("n, index, columns, message", [
+        (1, ("a",), ({0: 1},), "index entry 0: 'a' is not a StandardTableau of n=1"),
+        (2, (t0(2), StandardTableau((1, 2, 3), (4, 5, 6))), ({0: 1}, {1: 1}),
+         "index entry 1: StandardTableau('1 2 3 / 4 5 6') is not a StandardTableau of n=2"),
+        (2, (t0(2), t0(2)), ({0: 1}, {1: 1}),
+         "index entry 1: StandardTableau('1 3 / 2 4') repeats entry 0"),
+        (5, transition_matrix(3).index, transition_matrix(3).columns,
+         "index entry 0: StandardTableau('1 3 5 / 2 4 6') is not a StandardTableau of n=5"),
+    ], ids=["not-a-tableau", "other-n", "repeated", "matrix-of-another-n"])
+    def test_bad_index_raises(self, n, index, columns, message):
+        # Each used to pass the constructor and then fail, or pass, a verifier.
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TransitionMatrix(n, index, columns)
 
     def test_the_first_bad_column_is_named(self):
         base = transition_matrix(3)

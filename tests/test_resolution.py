@@ -37,6 +37,7 @@ from cupweb import (
 )
 import cupweb.resolution as resolution_module
 from cupweb.resolution import _peel, insert_arc, insert_level, sinks_to_json
+from cupweb.young import _dominance_masks
 from _oracles import (
     all_pairings,
     brute_crossing_pairs,
@@ -212,8 +213,7 @@ class TestResolveFull:
             m = Matching(random_matching_arcs(rng, 2 * rng.randint(2, 5)))
             baseline = resolve_full(m)
             script = tuple(rng.randrange(8) for _ in range(6))
-            last = lambda _m, cs: cs[-1]  # noqa: E731
-            for strategy in (script, last):
+            for strategy in (script, (-1,)):  # (-1,) always picks the last
                 tree = build_resolution_graph(m, strategy)
                 assert tree.sink_multiset() == baseline
 
@@ -222,10 +222,13 @@ class TestResolveFull:
         assert counts == build_resolution_graph(THREE_COLUMN).sink_multiset()
 
     def test_bad_strategy(self):
-        with pytest.raises(ValueError):
-            build_resolution_graph(Matching([(1, 3), (2, 4)]), "fastest")
-        with pytest.raises(ValueError, match="strategy returned a non-crossing"):
-            build_resolution_graph(Matching([(1, 3), (2, 4)]), lambda m, found: None)
+        # Only "first" and a nonempty sequence of ints pick a crossing; any
+        # other strategy is refused, with or without a crossing to pick.
+        for strategy in ("fastest", (), ("1",), (1.0,), (True,), {0: 1}, 3,
+                         lambda m, found: found[0]):
+            for m in (Matching([(1, 3), (2, 4)]), Matching([(1, 2)])):
+                with pytest.raises(ValueError, match="unknown strategy"):
+                    build_resolution_graph(m, strategy)
 
     def test_node_budget_counts_tree_nodes(self):
         # 16 sinks with multiplicity, so every strategy's tree has 31 nodes;
@@ -381,10 +384,29 @@ class TestWitnessPath:
         assert script
         assert check_witness(tab, tab, script)
 
-    def test_dominance_error_reports_column(self):
-        with pytest.raises(DominanceError) as info:
-            witness_path(S_FIVE, T_FIVE)
-        assert info.value.column == 2
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_dominance_error_reports_column(self, n):
+        # The pairwise rule agrees with the batch masks on every ordered
+        # pair, and a failing pair names its first failing column.
+        tableaux = enumerate_syt(n)
+        masks = _dominance_masks(tableaux)
+        for k, s in enumerate(tableaux):
+            for m, t in enumerate(tableaux):
+                dominates = first_row_dominates(s, t)
+                assert dominates == bool(masks[k] >> m & 1)
+                if dominates:
+                    continue
+                j = next(j for j in range(n) if s.top[j] < t.top[j])
+                with pytest.raises(DominanceError) as info:
+                    witness_path(t, s)
+                assert info.value.column == j + 1
+                assert str(info.value) == (
+                    "top row of S must dominate top row of T; "
+                    f"column {j + 1} has {s.top[j]} < {t.top[j]}")
+        if n == 5:
+            with pytest.raises(DominanceError) as info:
+                witness_path(S_FIVE, T_FIVE)
+            assert info.value.column == 2
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_all_dominating_pairs(self, n):

@@ -44,6 +44,7 @@ from cupweb import (
 )
 import cupweb.resolution as resolution_module
 import cupweb.transition as transition_module
+import cupweb.young as young_module
 from cupweb.cli import main
 from cupweb.errors import SizeLimitError
 from _oracles import brute_resolve, dense_inverse, polytabloid_model, psi_by_sweep
@@ -848,7 +849,7 @@ class TestOrderConjecture:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_dominance_masks_equal_reachability(self, n):
         graph = build_tableau_graph(n)
-        masks = transition_module._dominance_masks(graph.vertices)
+        masks = young_module._dominance_masks(graph.vertices)
         assert masks == list(graph.descendants)
 
     def test_converse_is_informational(self):
