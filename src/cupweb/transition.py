@@ -21,7 +21,7 @@ from __future__ import annotations
 import sys
 import time
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
 from datetime import datetime, timezone
 from itertools import compress, islice
@@ -212,6 +212,9 @@ class TransitionMatrix(Value):
         return len(self.index)
 
     def entry(self, s: int, t: int) -> int:
+        size = self.size
+        if not (type(s) is type(t) is int and 0 <= s < size and 0 <= t < size):
+            raise IndexError(f"entry ({s!r}, {t!r}) is outside the {size}x{size} matrix")
         return self.columns[t].get(s, 0)
 
     @property
@@ -377,20 +380,6 @@ def verify_positivity(matrix: TransitionMatrix) -> VerificationReport:
     return _report(matrix.n, checks, start)
 
 
-def _unitriangular_fault(matrix: TransitionMatrix) -> str | None:
-    """Why ``matrix`` is not unitriangular, at its first bad column, or None.
-
-    Column by column: a diagonal entry other than 1, or else a nonzero
-    entry below the diagonal, past row t in the sorted rows.
-    """
-    for t, col in enumerate(matrix.columns):
-        if col.get(t, 0) != 1:
-            return "matrix diagonal must be all ones"
-        if any(col._vals[bisect_right(col._rows, t):]):
-            return "matrix must be upper-triangular"
-    return None
-
-
 # array type code per field size in bytes, for the fields of ``_packed``
 _FIELD_CODES = {array(code).itemsize: code for code in "BHIQ"}
 
@@ -435,15 +424,15 @@ def _field_width(bound: int) -> int:
     return next((w for w in (8, 16, 32, 64) if w >= width), -(-width // 8) * 8)
 
 
-def _checked_psi(matrix: TransitionMatrix, step_budget: int):
-    """Yield each cup of M's index straightened, psi_c, as ``{row: coeff}``.
+def _checked_psi(matrix: TransitionMatrix, step_budget: int) -> list[dict[int, int]]:
+    """Each cup of M's index straightened, psi_c as ``{row: coeff}``, checked.
 
     One ``_straighten`` sweep within ``step_budget`` rewrite steps takes
-    every cup, seeded under its column c.  In index order, this stops
+    every cup, seeded under its column c.  In index order, the list stops
     before the first column c where M psi_c != e_c, or psi_c has a term
-    outside the index; so c is the number yielded.  M must pass
-    ``_unitriangular_fault``; as M is then invertible, M psi_c = e_c says
-    psi_c is column c of M^-1.
+    outside the index; so c is its length.  When every column passes, M
+    Psi = I for the square integer matrices M and Psi, so M is invertible
+    and Psi = M^-1: no triangularity of M, in any order, is needed.
 
     Column t of M is packed into one int P_t = sum_s M[s][t] 2^(s w), so
     the packed product is sum_t psi_c[t] P_t = sum_s (M psi_c)[s] 2^(s w),
@@ -472,27 +461,23 @@ def _checked_psi(matrix: TransitionMatrix, step_budget: int):
     packed = [_packed(col, width) for col in matrix.columns]
     for c, found in enumerate(psi):
         if None in found:
-            return
+            return psi[:c]
         by_coeff: dict[int, int] = {}  # the packed columns summed per coefficient
         for row, coeff in found.items():
             by_coeff[coeff] = by_coeff.get(coeff, 0) + packed[row]
         if sum(k * v for k, v in by_coeff.items()) != 1 << (c * width):
-            return
-        yield found
+            return psi[:c]
+    return psi
 
 
 def inverse_matrix(matrix: TransitionMatrix) -> TransitionMatrix:
-    """M^-1 over M's own index: column c is cup c straightened, psi_c.
+    """M^-1 over M's own index, in any order: column c is cup c straightened, psi_c.
 
-    A matrix that ``_unitriangular_fault`` rejects raises ``ValueError``
-    with its message, and so does one that fails ``_checked_psi``, naming
-    the first failing column.  The straightening runs within the module's
+    A matrix that fails ``_checked_psi`` raises ``ValueError`` naming its
+    first failing column.  The straightening runs within the module's
     ``DEFAULT_STEP_BUDGET``, read at each call; past it, ``SizeLimitError``.
     """
-    fault = _unitriangular_fault(matrix)
-    if fault:
-        raise ValueError(fault)
-    inverse = tuple(_checked_psi(matrix, DEFAULT_STEP_BUDGET))
+    inverse = _checked_psi(matrix, DEFAULT_STEP_BUDGET)
     if len(inverse) < matrix.size:
         raise ValueError("the straightened cups do not invert the matrix: "
                          f"web of {matrix.index[len(inverse)].row_word()}")
@@ -506,16 +491,12 @@ def verify_psi(
 ) -> VerificationReport:
     """Straightening each cup diagram gives the matching column of M^-1.
 
-    ``_unitriangular_fault`` is checked before any straightening, then
-    ``_checked_psi``, one sweep within ``step_budget`` rewrite steps.
+    ``_checked_psi``, one sweep within ``step_budget`` rewrite steps, over
+    M's index in any order; the witness is the first failing column.
     """
     start = time.perf_counter()
-    fault = _unitriangular_fault(matrix)
-    if fault:
-        witness = f"matrix not invertible over the order: {fault}"
-    else:
-        good = sum(1 for _ in _checked_psi(matrix, step_budget))
-        witness = None if good == matrix.size else f"web of {matrix.index[good].row_word()}"
+    good = len(_checked_psi(matrix, step_budget))
+    witness = None if good == matrix.size else f"web of {matrix.index[good].row_word()}"
     checks = [Check("straightening-matches-inverse", witness is None, witness)]
     return _report(matrix.n, checks, start)
 

@@ -89,7 +89,7 @@ def t0(n: int) -> StandardTableau:
 
 
 def _check_limit(n: int, max_n: int) -> None:
-    if n < 1:
+    if type(n) is not int or n < 1:  # not isinstance: True is an int
         raise SizeLimitError("n must be a positive integer")
     if n > max_n:
         raise SizeLimitError(
@@ -98,7 +98,7 @@ def _check_limit(n: int, max_n: int) -> None:
 
 
 def cached_on_n(build):
-    """Cache ``build(n)`` on n alone, behind a per-call check of ``n <= max_n``.
+    """Cache ``build(n)`` on n alone, behind a per-call check of an int n in 1..max_n.
 
     The decorated function takes ``(n, max_n=DEFAULT_MAX_N)``.  Calls that
     differ only in ``max_n`` share one cache entry, and a call that lifted

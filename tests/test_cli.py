@@ -3,6 +3,7 @@ import io
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tracemalloc
@@ -316,8 +317,8 @@ class TestPinnedReports:
     @pytest.mark.parametrize("argv, code, size, digest", [
         (["verify", "-n", "7", "all"], 0, 1281,
          "8697cae08e0884b0a1c00496141b5c1abe4883dc7e0bb05f7a3ec95b343f0338"),
-        (["verify", "-n", "4", "all", "--self-test"], 1, 1466,
-         "e5688387fa864dc31d22c7d901a9815fe79283f1c12fbda8648826150becd35d"),
+        (["verify", "-n", "4", "all", "--self-test"], 1, 1421,
+         "a5c60c542bf7c329ad55101e8e556f7b0231921d88a9ae5df0f84f41bf11f586"),
         (["matrix", "-n", "7", "--format", "json"], 0, 1756075,
          "6d9cdabe77a1f7b829e74f675fea7a8ec9403432f30f63be237aa99f29e5b2e4"),
         (["inverse", "-n", "7", "--format", "json"], 0, 1761240,
@@ -569,3 +570,22 @@ def test_json_round_trips_through_cli(capsys):
         Matching(s["arcs"]): s["multiplicity"] for s in data["sinks"]
     }
     assert rebuilt == resolve_full(Matching([(1, 3), (2, 5), (4, 6)]))
+
+
+def _readme_examples() -> list[str]:
+    """Each ``cupweb …`` command of README's ``sh`` blocks, continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    lines = re.sub(r"\\\n\s*", " ", "".join(blocks)).splitlines()
+    return [line for line in lines if line.startswith("cupweb ")]
+
+
+def test_readme_examples_run(capsys):
+    # A --self-test example injects a fault, so it must exit 1; all others 0.
+    examples = _readme_examples()
+    assert examples
+    codes = []
+    for line in examples:
+        argv = shlex.split(line, comments=True)[1:]
+        codes.append((line, main(argv), capsys.readouterr().err))
+    assert codes == [(line, 1 if "--self-test" in line else 0, "") for line in examples]

@@ -225,5 +225,15 @@ class TestBoundary:
         with pytest.raises(ValueError, match="column 1: a Column's " + message):
             TransitionMatrix(2, base.index, (base.columns[0], Column(rows, vals)))
 
+    @pytest.mark.parametrize("s, t", [
+        (-1, 4), (5, 4), (0, 5), (0, -1), (True, 0), (0, False), (1.0, 0), ("0", 0), (None, 0),
+    ])
+    def test_entry_outside_the_matrix_raises(self, s, t):
+        # A negative position would count from the end, and a bool pass as an int.
+        matrix = transition_matrix(3)
+        with pytest.raises(IndexError, match=re.escape(f"entry ({s!r}, {t!r}) is outside "
+                                                       "the 5x5 matrix")):
+            matrix.entry(s, t)
+
     def test_an_empty_matrix_is_accepted(self):
         assert TransitionMatrix(9, (), ()).size == 0

@@ -3,6 +3,7 @@ import hashlib
 import pickle
 import random
 from array import array
+from operator import mul
 from types import SimpleNamespace
 
 import pytest
@@ -272,9 +273,6 @@ def _permuted(matrix: TransitionMatrix, perm) -> TransitionMatrix:
     return _from_rows(matrix.n, index, entries)
 
 
-NOT_UPPER = "matrix not invertible over the order: matrix must be upper-triangular"
-
-
 class TestHandBuiltIndex:
     """Verifiers read a matrix over its own index, in any order."""
 
@@ -283,18 +281,20 @@ class TestHandBuiltIndex:
     @pytest.mark.parametrize(
         "perm, corruption, witnesses",
         [
-            ((4, 2, 0, 3, 1), None, [None, None, None, NOT_UPPER]),
+            # Not triangular by index position, yet M over another order:
+            # psi reads M over its own index and passes.
+            ((4, 2, 0, 3, 1), None, [None, None, None, None]),
             ((4, 2, 0, 3, 1), (0, 1, 5), [
                 None,
                 "S=1 2 3 / 4 5 6, T=1 3 4 / 2 5 6, entry=5",
                 "S=1 2 3 / 4 5 6, T=1 3 4 / 2 5 6, entry=5, comparable=False",
-                NOT_UPPER,
+                "web of 1 3 4 / 2 5 6",
             ]),
             ((4, 2, 0, 3, 1), (3, 0, 0), [
                 None,
                 None,
                 "S=1 2 4 / 3 5 6, T=1 2 3 / 4 5 6, entry=0, comparable=True",
-                NOT_UPPER,
+                "web of 1 2 3 / 4 5 6",
             ]),
             ((0, 2, 1, 3, 4), None, [None, None, None, None]),
             ((0, 2, 1, 3, 4), (1, 3, 2), [None, None, None, "web of 1 2 4 / 3 5 6"]),
@@ -302,8 +302,7 @@ class TestHandBuiltIndex:
                 "1 2 5 / 3 4 6",
                 None,
                 None,
-                "matrix not invertible over the order: "
-                "matrix diagonal must be all ones",
+                "web of 1 2 5 / 3 4 6",
             ]),
         ],
     )
@@ -414,7 +413,7 @@ class TestInverse:
         # Columns of M^-1 left of column 2 do not read it, so column 2 fails first.
         matrix = transition_matrix(3)
         bad = _corrupt(matrix, 0, 2, 7)
-        assert transition_module._unitriangular_fault(bad) is None
+        assert verify_unitriangular(bad).passed
         word = matrix.index[2].row_word()
         with pytest.raises(ValueError, match=f"^the straightened cups do not invert "
                                              f"the matrix: web of {word}$"):
@@ -423,10 +422,22 @@ class TestInverse:
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_follows_the_matrix_index(self, n):
         # Rows and columns are read through the matrix's own index.
-        matrix = _shuffled_within_ranks(transition_matrix(n), random.Random(n))
+        full = transition_matrix(n)
+        matrix = _shuffled_within_ranks(full, random.Random(n))
         inverse = inverse_matrix(matrix)
         assert inverse.index == matrix.index
         assert inverse.entries == dense_inverse(matrix.entries)
+        # Over a shuffle of the whole index M is triangular in no index
+        # order, so dense back substitution is no reference here.
+        perm = list(range(full.size))
+        random.Random(n).shuffle(perm)
+        pm = _permuted(full, perm)
+        assert verify_psi(pm).passed
+        inverse = inverse_matrix(pm)
+        assert inverse == _permuted(inverse_matrix(full), perm)
+        rows, cols = pm.entries, list(zip(*inverse.entries))
+        assert [[sum(map(mul, row, col)) for col in cols] for row in rows] == [
+            [int(s == t) for t in range(pm.size)] for s in range(pm.size)]
 
     def test_a_tripped_step_budget_exits_2_with_one_line(self, capsys, monkeypatch):
         # inverse_matrix reads the module's budget at each call.
@@ -721,28 +732,36 @@ class TestPackedProduct:
         monkeypatch.setattr(transition_module, "inverse_matrix", refuse)
         assert verify_psi(transition_matrix(7)).passed
 
-    @pytest.mark.parametrize("s, t, value, message", [
-        (1, 1, 2, "matrix diagonal must be all ones"),
-        (3, 3, 0, "matrix diagonal must be all ones"),
-        (4, 2, 1, "matrix must be upper-triangular"),
-        (4, 2, -3, "matrix must be upper-triangular"),
+    @pytest.mark.parametrize("s, t, value, broken, word", [
+        (1, 1, 2, "matrix diagonal must be all ones", "1 2 5 / 3 4 6"),
+        (3, 3, 0, "matrix diagonal must be all ones", "1 2 4 / 3 5 6"),
+        (4, 2, 1, "matrix must be upper-triangular", "1 3 4 / 2 5 6"),
+        (4, 2, -3, "matrix must be upper-triangular", "1 3 4 / 2 5 6"),
     ])
-    def test_one_precondition_for_the_inverse_and_psi(self, s, t, value, message):
+    def test_one_precondition_for_the_inverse_and_psi(self, s, t, value, broken, word):
+        # M psi = I is the one condition of both callers, and both name the
+        # same first failing column.  How the corruption breaks
+        # unitriangularity is verify_unitriangular's report, not theirs.
         bad = _corrupt(transition_matrix(3), s, t, value)
-        assert transition_module._unitriangular_fault(bad) == message
-        with pytest.raises(ValueError, match=message):
+        failing = [c.name for c in verify_unitriangular(bad).checks if not c.passed]
+        assert failing == [{"matrix diagonal must be all ones": "diagonal-ones",
+                            "matrix must be upper-triangular": "support-within-order"}[broken]]
+        with pytest.raises(ValueError, match=f"^the straightened cups do not invert "
+                                             f"the matrix: web of {word}$"):
             inverse_matrix(bad)
-        # Checked before any straightening, so no step budget is spent.
-        report = verify_psi(bad, step_budget=0)
-        assert report.checks[0].witness == f"matrix not invertible over the order: {message}"
+        assert verify_psi(bad).checks[0].witness == f"web of {word}"
+        # A bad matrix is straightened like M, so it spends the step budget.
+        with pytest.raises(SizeLimitError, match="exceeded 0 rewrite steps"):
+            verify_psi(bad, step_budget=0)
 
     def test_stored_zero_below_the_diagonal_is_no_fault(self):
         matrix = transition_matrix(3)
         columns = list(matrix.columns)
         columns[1] = {**columns[1], 4: 0}
         stored = TransitionMatrix(3, matrix.index, tuple(columns))
-        assert transition_module._unitriangular_fault(stored) is None
+        assert verify_unitriangular(stored).passed
         assert verify_psi(stored).passed
+        assert inverse_matrix(stored) == inverse_matrix(matrix)
 
 
 class TestEdgeIdentity:

@@ -15,6 +15,7 @@ from cupweb import (
     enumerate_syt,
     first_row_dominates,
     leq,
+    order_conjecture_report,
     rank,
     t0,
     transition_matrix,
@@ -129,6 +130,18 @@ class TestEnumeration:
         assert len(enumerate_syt(9, max_n=9)) == 4862
         with pytest.raises(SizeLimitError):
             enumerate_syt(9)
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    @pytest.mark.parametrize("build", [
+        enumerate_syt, build_tableau_graph, transition_matrix, order_conjecture_report,
+    ])
+    def test_n_must_be_an_int(self, build, n):
+        # A bool n would cache a second M_1, whose n and JSON read True.
+        cached = (enumerate_syt, build_tableau_graph, transition_matrix)
+        sizes = [f.cache_info().currsize for f in cached]
+        with pytest.raises(SizeLimitError, match="^n must be a positive integer$"):
+            build(n)
+        assert [f.cache_info().currsize for f in cached] == sizes
 
     @pytest.mark.parametrize(
         "build", [enumerate_syt, build_tableau_graph, transition_matrix]
